@@ -9,6 +9,7 @@
 #include "mcsort/common/logging.h"
 #include "mcsort/storage/column.h"
 #include "mcsort/storage/dictionary.h"
+#include "mcsort/storage/live_runs.h"
 
 namespace mcsort {
 namespace delta {
@@ -62,9 +63,61 @@ DictMerge MergeDictionary(const StringDictionary& dict,
   return out;
 }
 
+template <typename T>
+Code MaxLiveCode(const T* codes, size_t n, const std::vector<uint32_t>& dead) {
+  T max = 0;
+  ForEachLiveRun(n, dead, [&](size_t begin, size_t end, size_t) {
+    for (size_t i = begin; i < end; ++i) max = std::max(max, codes[i]);
+  });
+  return max;
+}
+
+// Largest code among the live rows of `col` (0 when none is live).
+Code MaxLiveCode(const EncodedColumn& col, const std::vector<uint32_t>& dead) {
+  switch (col.type()) {
+    case PhysicalType::kU16: return MaxLiveCode(col.Data16(), col.size(), dead);
+    case PhysicalType::kU32: return MaxLiveCode(col.Data32(), col.size(), dead);
+    case PhysicalType::kU64: return MaxLiveCode(col.Data64(), col.size(), dead);
+  }
+  return 0;
+}
+
+// Sizes `to` for `n_live` rows of `width` bits and fills its leading rows
+// with the live rows of `from`, whose codes map through `remap`. When the
+// codes are unchanged (`same_codes`) and the physical type is the same,
+// that is a memcpy per live run; otherwise a per-row re-encode. Returns
+// whether it copied.
+template <typename Remap>
+bool FillBaseRows(const EncodedColumn& from, const std::vector<uint32_t>& dead,
+                  bool same_codes, int width, size_t n_live, Remap remap,
+                  EncodedColumn* to) {
+  if (same_codes && PhysicalTypeForWidth(width) == from.type()) {
+    to->ResetTyped(width, from.type(), n_live, /*zero_fill=*/false);
+    CopyLiveRuns(from.raw_data(), BytesOfPhysicalType(from.type()),
+                 from.size(), dead, to->raw_data());
+    return true;
+  }
+  to->Reset(width, n_live);
+  ForEachLiveRun(from.size(), dead, [&](size_t begin, size_t end, size_t at) {
+    for (size_t oid = begin; oid < end; ++oid) {
+      to->Set(at + (oid - begin), remap(from.Get(oid)));
+    }
+  });
+  return false;
+}
+
 }  // namespace
 
-MergedTable BuildMergedTable(const Table& base, const DeltaSnapshot& snap) {
+uint32_t MergedTable::NewOidOfBase(uint32_t oid) const {
+  if (oid >= base_rows) return kNoOid;
+  auto it = std::lower_bound(dead_base.begin(), dead_base.end(), oid);
+  if (it != dead_base.end() && *it == oid) return kNoOid;
+  return oid - static_cast<uint32_t>(it - dead_base.begin());
+}
+
+MergedTable BuildMergedTable(const std::shared_ptr<const Table>& base_table,
+                             const DeltaSnapshot& snap) {
+  const Table& base = *base_table;
   MergedTable out;
   const std::vector<std::string>& names = base.column_names();
   const size_t n_base = base.row_count();
@@ -72,16 +125,16 @@ MergedTable BuildMergedTable(const Table& base, const DeltaSnapshot& snap) {
 
   // Row layout: live base rows in oid order, then live delta rows in
   // arrival order. Deterministic, so scan-merge and compaction agree.
-  out.new_oid_of_base.assign(n_base, kNoOid);
-  out.new_oid_of_delta.assign(n_delta, kNoOid);
-  std::vector<uint8_t> base_dead(n_base, 0);
+  out.base_rows = n_base;
+  std::vector<uint32_t>& dead = out.dead_base;
+  dead.reserve(snap.base_tombstones.size());
   for (uint32_t oid : snap.base_tombstones) {
-    if (oid < n_base) base_dead[oid] = 1;
+    if (oid < n_base) dead.push_back(oid);
   }
-  uint32_t next_oid = 0;
-  for (size_t oid = 0; oid < n_base; ++oid) {
-    if (!base_dead[oid]) out.new_oid_of_base[oid] = next_oid++;
-  }
+  std::sort(dead.begin(), dead.end());
+  dead.erase(std::unique(dead.begin(), dead.end()), dead.end());
+  out.new_oid_of_delta.assign(n_delta, kNoOid);
+  uint32_t next_oid = static_cast<uint32_t>(n_base - dead.size());
   for (size_t r = 0; r < n_delta; ++r) {
     if (snap.row_dead.size() <= r || !snap.row_dead[r]) {
       out.new_oid_of_delta[r] = next_oid++;
@@ -90,10 +143,12 @@ MergedTable BuildMergedTable(const Table& base, const DeltaSnapshot& snap) {
   const size_t n_live = next_oid;
 
   out.table = std::make_shared<Table>(n_live);
+  std::vector<std::string> derivable;
   for (size_t c = 0; c < names.size(); ++c) {
     const std::string& name = names[c];
     const EncodedColumn& old_col = base.column(name);
     EncodedColumn merged_col;
+    bool copied = false;
 
     if (base.HasDictionary(name)) {
       const StringDictionary& dict = base.dictionary(name);
@@ -103,12 +158,10 @@ MergedTable BuildMergedTable(const Table& base, const DeltaSnapshot& snap) {
       DictMerge dm = MergeDictionary(dict, overflow);
       const int width =
           std::max(1, BitsForCount(static_cast<uint64_t>(dm.merged.size())));
-      merged_col.Reset(width, n_live);
-      for (size_t oid = 0; oid < n_base; ++oid) {
-        uint32_t dst = out.new_oid_of_base[oid];
-        if (dst == kNoOid) continue;
-        merged_col.Set(dst, dm.new_code_of_dict[old_col.Get(oid)]);
-      }
+      // Without overflow values the dictionary, and so every code, stays.
+      copied = FillBaseRows(
+          old_col, dead, overflow.empty(), width, n_live,
+          [&](Code code) { return dm.new_code_of_dict[code]; }, &merged_col);
       for (size_t r = 0; r < n_delta; ++r) {
         uint32_t dst = out.new_oid_of_delta[r];
         if (dst == kNoOid) continue;
@@ -123,6 +176,7 @@ MergedTable BuildMergedTable(const Table& base, const DeltaSnapshot& snap) {
           merged_col.Set(dst, dm.new_code_of_ovf[ovf]);
         }
       }
+      if (copied && width == old_col.width()) derivable.push_back(name);
       out.table->AddColumnParts(
           name, std::move(merged_col),
           std::make_unique<StringDictionary>(
@@ -133,22 +187,18 @@ MergedTable BuildMergedTable(const Table& base, const DeltaSnapshot& snap) {
 
     // Numeric (plain code or domain-encoded): keep the old base unless a
     // delta native sits below it — lowering the base shifts every existing
-    // code up uniformly, preserving order; widen to cover the merged range.
+    // code up uniformly, preserving order; the width is the one the live
+    // merged range needs, so it may tighten as well as widen.
     const int64_t old_base = base.domain_base(name);
-    uint64_t max_base_code = 0;
-    for (size_t oid = 0; oid < n_base; ++oid) {
-      if (out.new_oid_of_base[oid] == kNoOid) continue;
-      max_base_code = std::max<uint64_t>(max_base_code, old_col.Get(oid));
-    }
+    const uint64_t max_base_code = MaxLiveCode(old_col, dead);
     int64_t new_base = old_base;
-    uint64_t max_rel = max_base_code;
     for (size_t r = 0; r < n_delta; ++r) {
       if (out.new_oid_of_delta[r] == kNoOid) continue;
       new_base = std::min(new_base, snap.rows[r][c]);
     }
     const uint64_t shift =
         static_cast<uint64_t>(old_base) - static_cast<uint64_t>(new_base);
-    max_rel = max_base_code + shift;
+    uint64_t max_rel = max_base_code + shift;
     for (size_t r = 0; r < n_delta; ++r) {
       if (out.new_oid_of_delta[r] == kNoOid) continue;
       const uint64_t rel = static_cast<uint64_t>(snap.rows[r][c]) -
@@ -156,20 +206,22 @@ MergedTable BuildMergedTable(const Table& base, const DeltaSnapshot& snap) {
       max_rel = std::max(max_rel, rel);
     }
     const int width = std::max(1, BitsForValue(max_rel));
-    merged_col.Reset(width, n_live);
-    for (size_t oid = 0; oid < n_base; ++oid) {
-      uint32_t dst = out.new_oid_of_base[oid];
-      if (dst == kNoOid) continue;
-      merged_col.Set(dst, old_col.Get(oid) + shift);
-    }
+    copied = FillBaseRows(
+        old_col, dead, shift == 0, width, n_live,
+        [shift](Code code) { return code + shift; }, &merged_col);
     for (size_t r = 0; r < n_delta; ++r) {
       uint32_t dst = out.new_oid_of_delta[r];
       if (dst == kNoOid) continue;
       merged_col.Set(dst, static_cast<uint64_t>(snap.rows[r][c]) -
                               static_cast<uint64_t>(new_base));
     }
+    if (copied && width == old_col.width()) derivable.push_back(name);
     out.table->AddColumnParts(name, std::move(merged_col), nullptr, new_base);
   }
+  auto lineage = std::make_shared<TableLineage>();
+  lineage->base = base_table;
+  lineage->dead = dead;
+  out.table->SetLineage(std::move(lineage), derivable);
   return out;
 }
 

@@ -377,7 +377,7 @@ bool QueryService::CompactTable(const std::string& name) {
   // tmp+rename commit point snapshots use — a crash mid-save leaves the
   // previous snapshot intact and only *.tmp residue, which startup sweeps.
   Timer timer;
-  delta::MergedTable merged = delta::BuildMergedTable(*job.base, job.snap);
+  delta::MergedTable merged = delta::BuildMergedTable(job.base, job.snap);
   const uint64_t merged_rows = merged.table->row_count();
   if (save) {
     const IoStatus st = SaveTableSnapshot(*merged.table, dir);
@@ -451,6 +451,7 @@ QueryService::DeltaInfo QueryService::GetDeltaInfo(const std::string& name) {
     info.epoch = version->epoch();
     info.delta_rows = version->delta_rows();
     info.live_rows = version->live_rows();
+    info.snapshot_builds = version->snapshot_builds();
   } else if (resident != nullptr) {
     info.live_rows = resident->row_count();
   }

@@ -193,6 +193,7 @@ class QueryService {
     uint64_t epoch = 0;
     uint64_t delta_rows = 0;  // live delta rows awaiting compaction
     uint64_t live_rows = 0;   // base live + delta live
+    uint64_t snapshot_builds = 0;  // merged images built for readers
     bool has_version = false;
   };
   DeltaInfo GetDeltaInfo(const std::string& name);

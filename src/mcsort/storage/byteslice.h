@@ -31,6 +31,17 @@ class ByteSliceColumn {
   static ByteSliceColumn FromParts(int width, size_t size,
                                    std::vector<AlignedBuffer<uint8_t>> slices);
 
+  // The layout of a merged image (storage/live_runs.h) derived from its
+  // base's layout instead of from every code: the live runs of each base
+  // slice are copied, and only the rows appended after them, from
+  // base.size() - dead.size() on, are sliced from `codes`. Equals
+  // Build(codes) byte for byte, padding included, provided the image's
+  // leading rows are the base's live rows with unchanged codes and
+  // codes.width() == base.width().
+  static ByteSliceColumn Derive(const ByteSliceColumn& base,
+                                const std::vector<uint32_t>& dead,
+                                const EncodedColumn& codes);
+
   // Bytes per slice for `n` rows (rows padded to a 32-byte SIMD block) —
   // fixes the serialized slice length in the snapshot format.
   static size_t slice_bytes(size_t n) { return (n + 31) / 32 * 32; }

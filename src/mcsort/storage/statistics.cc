@@ -67,6 +67,50 @@ ColumnStats ColumnStats::BuildSampled(const EncodedColumn& column,
   return stats;
 }
 
+std::optional<ColumnStats> ColumnStats::Derive(
+    const ColumnStats& base, const EncodedColumn& base_codes,
+    const std::vector<uint32_t>& dead, const EncodedColumn& codes) {
+  // One code per bucket, every row counted: the histogram is the exact code
+  // multiset, so subtracting and adding codes keeps it exact.
+  if (base.width_ != codes.width() || base.hist_bits_ != base.width_ ||
+      base.row_count_ != base_codes.size() ||
+      base.bucket_rows_.size() != (size_t{1} << base.hist_bits_)) {
+    return std::nullopt;
+  }
+  uint64_t counted = 0;
+  for (uint64_t rows : base.bucket_rows_) counted += rows;
+  if (counted != base.row_count_) return std::nullopt;
+  MCSORT_CHECK(dead.size() <= base_codes.size());
+  const size_t kept = base_codes.size() - dead.size();
+  MCSORT_CHECK(kept <= codes.size());
+
+  ColumnStats stats;
+  stats.width_ = base.width_;
+  stats.hist_bits_ = base.hist_bits_;
+  stats.row_count_ = codes.size();
+  stats.bucket_rows_ = base.bucket_rows_;
+  for (uint32_t oid : dead) {
+    uint64_t& rows = stats.bucket_rows_[static_cast<size_t>(base_codes.Get(oid))];
+    MCSORT_CHECK(rows > 0);
+    --rows;
+  }
+  for (size_t i = kept; i < codes.size(); ++i) {
+    ++stats.bucket_rows_[static_cast<size_t>(codes.Get(i))];
+  }
+  stats.bucket_distinct_.assign(stats.bucket_rows_.size(), 0);
+  bool any = false;
+  for (size_t code = 0; code < stats.bucket_rows_.size(); ++code) {
+    if (stats.bucket_rows_[code] == 0) continue;
+    stats.bucket_distinct_[code] = 1;
+    ++stats.distinct_count_;
+    if (!any) stats.min_code_ = code;
+    stats.max_code_ = code;
+    any = true;
+  }
+  stats.EstimateDistinctPrefixes(0);
+  return stats;
+}
+
 uint64_t ColumnStats::DistinctSketch() const {
   // FNV-1a over log2 buckets: insensitive to small per-bucket jitter,
   // sensitive to which buckets hold distinct mass and roughly how much.

@@ -11,6 +11,7 @@
 #define MCSORT_STORAGE_STATISTICS_H_
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "mcsort/storage/column.h"
@@ -48,6 +49,19 @@ class ColumnStats {
   // of O(n) hashing per planning call.
   static ColumnStats BuildSampled(const EncodedColumn& column,
                                   uint64_t max_rows, int hist_bits = 12);
+
+  // The statistics of a merged image (storage/live_runs.h) derived from its
+  // base's: the base histogram minus the codes of the `dead` base rows plus
+  // the codes of the rows appended after the base's live rows, from
+  // base_codes.size() - dead.size() on. Exact, and equal to Build(codes),
+  // only when every bucket holds one code (width <= hist_bits) and the
+  // base statistics counted every row; nullopt otherwise, or when
+  // codes.width() differs from the base's. The image's leading rows must
+  // be the base's live rows with unchanged codes.
+  static std::optional<ColumnStats> Derive(const ColumnStats& base,
+                                           const EncodedColumn& base_codes,
+                                           const std::vector<uint32_t>& dead,
+                                           const EncodedColumn& codes);
 
   uint64_t row_count() const { return row_count_; }
   uint64_t distinct_count() const { return distinct_count_; }

@@ -20,6 +20,19 @@
 
 namespace mcsort {
 
+class Table;
+
+// Where a merged image's rows come from (delta/merge_scan.h): its first
+// base->row_count() - dead.size() rows are the base's rows in oid order
+// with the sorted, unique `dead` oids left out (storage/live_runs.h); the
+// rest were appended. The base is held weakly, so no image, nor a
+// compacted base built the same way, keeps a retired base alive; once the
+// base is gone, layouts are built from the codes as for any table.
+struct TableLineage {
+  std::weak_ptr<const Table> base;
+  std::vector<uint32_t> dead;
+};
+
 class Table {
  public:
   Table() = default;
@@ -54,7 +67,10 @@ class Table {
   // Statistics / ByteSlice / BitWeaving layouts, built lazily on first use
   // and cached. Safe to call from concurrent query sessions: the first
   // builder wins under a table-wide mutex and everyone reads the immutable
-  // result.
+  // result. A column marked by SetLineage derives its statistics and
+  // ByteSlice from its lineage base's, when the base is alive and has them
+  // built (ColumnStats::Derive, ByteSliceColumn::Derive); the result is the
+  // same as a build from the codes.
   const ColumnStats& stats(const std::string& name) const;
   const ByteSliceColumn& byteslice(const std::string& name) const;
   const BitWeavingColumn& bitweaving(const std::string& name) const;
@@ -77,6 +93,15 @@ class Table {
   void SetByteSlice(const std::string& name, ByteSliceColumn byteslice);
   void SetBitWeaving(const std::string& name, BitWeavingColumn bitweaving);
 
+  // Merge-at-scan plumbing: records where this table's rows come from and
+  // marks the `columns` whose leading rows hold the lineage base's codes
+  // unchanged at the base's width — the columns whose layouts may be
+  // derived from the base's.
+  void SetLineage(std::shared_ptr<const TableLineage> lineage,
+                  const std::vector<std::string>& columns);
+  // Whether column `name` derives its layouts from a lineage base.
+  bool derives_layouts(const std::string& name) const;
+
   // Keeps `resource` (e.g. the MmapFile backing zero-copy column views)
   // alive for the table's lifetime.
   void PinResource(std::shared_ptr<void> resource);
@@ -94,14 +119,19 @@ class Table {
     mutable std::unique_ptr<ColumnStats> stats;
     mutable std::unique_ptr<ByteSliceColumn> byteslice;
     mutable std::unique_ptr<BitWeavingColumn> bitweaving;
+    bool derives_layouts = false;  // see SetLineage
   };
 
   const Entry& Find(const std::string& name) const;
+  // The lineage base when `entry` may derive its layouts from it and the
+  // base is still alive; null otherwise.
+  std::shared_ptr<const Table> LineageBase(const Entry& entry) const;
 
   size_t row_count_ = 0;
   std::vector<std::string> names_;
   std::unordered_map<std::string, Entry> columns_;
   std::vector<std::shared_ptr<void>> pinned_;
+  std::shared_ptr<const TableLineage> lineage_;
   // Guards the lazy stats/byteslice construction only; column data is
   // immutable after loading. Behind a pointer so Table stays movable.
   mutable std::unique_ptr<std::mutex> lazy_mu_ = std::make_unique<std::mutex>();
