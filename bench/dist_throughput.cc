@@ -174,7 +174,7 @@ int main() {
       const dist::DistResult result = coordinator.Execute(spec);
       if (!result.ok()) {
         std::fprintf(stderr, "distributed query failed: %s\n",
-                     result.detail.c_str());
+                     result.status.ToString().c_str());
         return 1;
       }
       latencies.push_back(t.Seconds());

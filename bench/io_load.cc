@@ -84,7 +84,7 @@ void RunColdStart(const std::string& scratch, int reps) {
 
   const std::string dir = scratch + "/io_load_snapshot";
   Timer save_timer;
-  const IoStatus saved = SaveTableSnapshot(table, dir);
+  const Status saved = SaveTableSnapshot(table, dir);
   if (!saved.ok()) {
     std::fprintf(stderr, "save failed: %s\n", saved.ToString().c_str());
     std::exit(1);
@@ -102,7 +102,7 @@ void RunColdStart(const std::string& scratch, int reps) {
     double probe_seconds = 0;
     const double load_seconds = MinSeconds(reps, [&] {
       Table loaded;
-      const IoStatus st = LoadTableSnapshot(dir, load, &loaded);
+      const Status st = LoadTableSnapshot(dir, load, &loaded);
       if (!st.ok()) {
         std::fprintf(stderr, "load failed: %s\n", st.ToString().c_str());
         std::exit(1);
@@ -148,7 +148,7 @@ void RunIngest(const std::string& scratch, int reps) {
     options.threads = threads;
     const double seconds = MinSeconds(reps, [&] {
       Table table;
-      const IoStatus st = IngestCsv(csv, options, &table);
+      const Status st = IngestCsv(csv, options, &table);
       if (!st.ok()) {
         std::fprintf(stderr, "ingest failed: %s\n", st.ToString().c_str());
         std::exit(1);

@@ -4,10 +4,13 @@
 # and one server with the unsharded table, then drives mcsort_coord
 # through both query shapes (GROUP BY with stitched aggregates, ORDER BY
 # with global oids) requiring bit-identical output vs. the single-node
-# server. Finally it SIGKILLs shard 0's primary and re-runs the
-# coordinator with the replica listed as failover — the query must still
-# succeed and still verify bit-identical. A coordinator that cannot
-# survive one dead process fails the script.
+# server. Then it SIGKILLs shard 0's primary and re-runs the coordinator
+# with the replica listed as failover — the query must still succeed and
+# still verify bit-identical. A coordinator that cannot survive one dead
+# process fails the script. Last, it runs once more with only the dead
+# primary listed for shard 0: that fan-out must fail with a typed
+# `dist status=unavailable` (exit nonzero) and report shard 0 as
+# `status=not_connected`, never a partial answer.
 #
 # Usage: scripts/cluster_smoke.sh [build-dir]   (default: build)
 # Env:   MCSORT_SMOKE_BASE_PORT (default 0 = ephemeral — every server
@@ -128,6 +131,22 @@ run_coord "127.0.0.1:${s0_port},127.0.0.1:${s0_replica_port}" \
 grep -q "bit-identical" "${data_dir}/failover.out"
 grep -q "shard 0: endpoint=1" "${data_dir}/failover.out" || {
   echo "shard 0 did not fail over to the replica endpoint" >&2
+  exit 1
+}
+
+echo "=== shard 0 with only its dead primary: expect a typed failure ==="
+if run_coord "127.0.0.1:${s0_port}" > "${data_dir}/dead.out" 2>&1; then
+  cat "${data_dir}/dead.out"
+  echo "coordinator succeeded with every shard 0 endpoint dead" >&2
+  exit 1
+fi
+cat "${data_dir}/dead.out"
+grep -q "dist status=unavailable" "${data_dir}/dead.out" || {
+  echo "fan-out with a dead shard did not report dist status=unavailable" >&2
+  exit 1
+}
+grep -qE "^shard 0: .* status=not_connected" "${data_dir}/dead.out" || {
+  echo "shard 0 was not reported as not_connected" >&2
   exit 1
 }
 

@@ -5,65 +5,6 @@
 
 namespace mcsort {
 
-const char* ExecStatus::name() const {
-  switch (code) {
-    case ExecCode::kOk:
-      return "ok";
-    case ExecCode::kCancelled:
-      return "cancelled";
-    case ExecCode::kDeadlineExceeded:
-      return "deadline_exceeded";
-    case ExecCode::kResourceExhausted:
-      return "resource_exhausted";
-  }
-  return "unknown";
-}
-
-ExecStatus ExecStatus::FromCode(ExecCode code) {
-  switch (code) {
-    case ExecCode::kOk:
-      return Ok();
-    case ExecCode::kCancelled:
-      return Cancelled();
-    case ExecCode::kDeadlineExceeded:
-      return DeadlineExceeded();
-    case ExecCode::kResourceExhausted:
-      return ResourceExhausted();
-  }
-  return Ok();
-}
-
-Status ExecStatus::ToStatus() const {
-  switch (code) {
-    case ExecCode::kOk:
-      return Status::Ok();
-    case ExecCode::kCancelled:
-      return Status::Cancelled(detail);
-    case ExecCode::kDeadlineExceeded:
-      return Status::DeadlineExceeded(detail);
-    case ExecCode::kResourceExhausted:
-      return Status::ResourceExhausted(detail);
-  }
-  return Status::Internal(detail);
-}
-
-ExecStatus ExecStatus::FromStatus(const Status& status) {
-  switch (status.code) {
-    case StatusCode::kOk:
-      return Ok();
-    case StatusCode::kCancelled:
-      return Cancelled();
-    case StatusCode::kDeadlineExceeded:
-      return DeadlineExceeded();
-    case StatusCode::kResourceExhausted:
-    case StatusCode::kUnavailable:
-    case StatusCode::kDataLoss:
-      return ResourceExhausted();
-    default:
-      return Cancelled("cancelled (non-executor status)");
-  }
-}
-
 FaultInjector FaultInjector::FromString(const char* spec) {
   if (spec == nullptr || *spec == '\0') return FaultInjector();
   const char* at = std::strchr(spec, '@');
@@ -110,54 +51,61 @@ ExecContext& ExecContext::WithDeadlineAfter(double seconds) {
 ExecContext& ExecContext::WithFault(FaultInjector* fault) {
   fault_ = fault;
   if (fault_ != nullptr && injected_ == nullptr) {
-    injected_ = std::make_shared<std::atomic<int>>(0);
+    injected_ = std::make_shared<std::atomic<StatusCode>>(StatusCode::kOk);
   }
   return *this;
 }
 
-ExecCode ExecContext::StopCheck() const {
+StatusCode ExecContext::StopCheck() const {
   if (injected_ != nullptr) {
-    const int injected = injected_->load(std::memory_order_relaxed);
-    if (injected != 0) return static_cast<ExecCode>(injected);
+    const StatusCode injected = injected_->load(std::memory_order_relaxed);
+    if (injected != StatusCode::kOk) return injected;
   }
-  if (token_.cancelled()) return ExecCode::kCancelled;
+  if (token_.cancelled()) return StatusCode::kCancelled;
   if (has_deadline_ && std::chrono::steady_clock::now() >= deadline_) {
-    return ExecCode::kDeadlineExceeded;
+    return StatusCode::kDeadlineExceeded;
   }
-  return ExecCode::kOk;
+  return StatusCode::kOk;
 }
 
-ExecStatus ExecContext::CheckRound() const {
+Status ExecContext::StopStatus() const {
+  switch (StopCheck()) {
+    case StatusCode::kOk:
+      return Status::Ok();
+    case StatusCode::kCancelled:
+      return Status::Cancelled();
+    case StatusCode::kDeadlineExceeded:
+      return Status::DeadlineExceeded();
+    default:
+      return Status::ResourceExhausted("injected allocation failure");
+  }
+}
+
+Status ExecContext::CheckRound() const {
   if (fault_ != nullptr && injected_ != nullptr) {
     switch (fault_->Poll()) {
       case FaultInjector::Kind::kNone:
         break;
       case FaultInjector::Kind::kCancel:
-        injected_->store(static_cast<int>(ExecCode::kCancelled),
-                         std::memory_order_relaxed);
+        injected_->store(StatusCode::kCancelled, std::memory_order_relaxed);
         break;
       case FaultInjector::Kind::kDeadline:
-        injected_->store(static_cast<int>(ExecCode::kDeadlineExceeded),
+        injected_->store(StatusCode::kDeadlineExceeded,
                          std::memory_order_relaxed);
         break;
       case FaultInjector::Kind::kAlloc:
-        injected_->store(static_cast<int>(ExecCode::kResourceExhausted),
+        injected_->store(StatusCode::kResourceExhausted,
                          std::memory_order_relaxed);
         break;
     }
   }
-  const ExecCode code = StopCheck();
-  if (code == ExecCode::kOk) return ExecStatus::Ok();
-  if (code == ExecCode::kResourceExhausted) {
-    return ExecStatus::ResourceExhausted("injected allocation failure");
-  }
-  return ExecStatus::FromCode(code);
+  return StopStatus();
 }
 
 bool ExecContext::ClearResourceFault() const {
   if (injected_ == nullptr) return false;
-  int expected = static_cast<int>(ExecCode::kResourceExhausted);
-  return injected_->compare_exchange_strong(expected, 0,
+  StatusCode expected = StatusCode::kResourceExhausted;
+  return injected_->compare_exchange_strong(expected, StatusCode::kOk,
                                             std::memory_order_relaxed);
 }
 

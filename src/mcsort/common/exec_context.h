@@ -5,7 +5,7 @@
 //   * cooperative cancellation: a CancellationSource owned by the client
 //     (typically another thread) flips a shared flag; executors poll it at
 //     morsel / merge-pass / round boundaries and unwind with a typed
-//     ExecStatus — no exceptions on the hot path, latency bounded by one
+//     Status — no exceptions on the hot path, latency bounded by one
 //     morsel's worth of work;
 //   * absolute deadline: checked at the same boundaries, so a query past
 //     its deadline stops claiming work instead of running to completion;
@@ -36,51 +36,6 @@
 namespace mcsort {
 
 struct PlanHint;  // engine/query.h — opaque at this layer
-
-// Typed outcome of one execution; kOk on the straight path.
-enum class ExecCode : int {
-  kOk = 0,
-  kCancelled = 1,          // CancellationSource fired (or injected)
-  kDeadlineExceeded = 2,   // absolute deadline passed (or injected)
-  kResourceExhausted = 3,  // scratch budget unsatisfiable / injected alloc
-                           // failure that could not be absorbed by
-                           // degradation
-};
-
-// Status value returned by the executors instead of exceptions. `detail`
-// is a static string (never owned), safe to copy freely.
-struct ExecStatus {
-  ExecCode code = ExecCode::kOk;
-  const char* detail = "";
-
-  bool ok() const { return code == ExecCode::kOk; }
-  // Stable lowercase name for metrics keys: "ok", "cancelled",
-  // "deadline_exceeded", "resource_exhausted".
-  const char* name() const;
-
-  static ExecStatus Ok() { return {}; }
-  static ExecStatus Cancelled(const char* detail = "cancelled") {
-    return {ExecCode::kCancelled, detail};
-  }
-  static ExecStatus DeadlineExceeded(const char* detail = "deadline exceeded") {
-    return {ExecCode::kDeadlineExceeded, detail};
-  }
-  static ExecStatus ResourceExhausted(
-      const char* detail = "scratch budget exhausted") {
-    return {ExecCode::kResourceExhausted, detail};
-  }
-  static ExecStatus FromCode(ExecCode code);
-
-  // Unified-status bridge (common/status.h). Every ExecCode has an exact
-  // canonical twin, so ToStatus/FromStatus round-trip; a Status outside
-  // the executor's vocabulary lands on kResourceExhausted if it is a
-  // resource flavor and kCancelled otherwise (the executor's two unwind
-  // classes). The detail string is preserved in both directions as far as
-  // lifetimes allow (FromStatus keeps only the static code name — an
-  // ExecStatus never owns its detail).
-  Status ToStatus() const;
-  static ExecStatus FromStatus(const Status& status);
-};
 
 // Read side of a cancellation flag. Copies share the flag; a
 // default-constructed token is never cancelled.
@@ -202,16 +157,20 @@ class ExecContext {
   // Hot-path check, called at morsel / merge-pass / chunk boundaries:
   // injected faults first (relaxed atomic), then the cancellation flag,
   // then the deadline (one steady-clock read). Never consults the fault
-  // injector itself — that is CheckRound's job.
-  ExecCode StopCheck() const;
-  bool StopRequested() const { return StopCheck() != ExecCode::kOk; }
+  // injector itself — that is CheckRound's job. Returns kOk, kCancelled,
+  // kDeadlineExceeded, or kResourceExhausted (injected allocation failure).
+  StatusCode StopCheck() const;
+  bool StopRequested() const { return StopCheck() != StatusCode::kOk; }
+  // StopCheck as the Status an executor unwinds with (ok when no stop is
+  // pending). Built only once a stop was seen, never on the morsel path.
+  Status StopStatus() const;
 
   // Round-boundary check: polls the fault injector (arming injected
-  // cancellation / deadline / allocation failure) and then behaves like
-  // StopCheck. Injected allocation failure surfaces as
+  // cancellation / deadline / allocation failure) and then returns
+  // StopStatus. Injected allocation failure surfaces as
   // kResourceExhausted, which the executor may absorb by degrading to a
   // narrower plan (ClearResourceFault) instead of failing the query.
-  ExecStatus CheckRound() const;
+  Status CheckRound() const;
 
   // Consumes an injected allocation failure so a degraded re-execution can
   // proceed. Returns true when one was pending.
@@ -224,10 +183,10 @@ class ExecContext {
   size_t scratch_budget_bytes_ = 0;
   FaultInjector* fault_ = nullptr;
   const PlanHint* hint_ = nullptr;
-  // Injected-fault cell (holds an ExecCode as int; 0 = none). Shared by
-  // copies so a fault armed inside the executor is visible to the caller's
-  // context object too. Allocated only when a fault injector is attached.
-  std::shared_ptr<std::atomic<int>> injected_;
+  // Injected-fault cell (a StatusCode; kOk = none). Shared by copies so a
+  // fault armed inside the executor is visible to the caller's context
+  // object too. Allocated only when a fault injector is attached.
+  std::shared_ptr<std::atomic<StatusCode>> injected_;
 };
 
 }  // namespace mcsort

@@ -1,27 +1,15 @@
-// mcsort::Status — the one canonical status taxonomy of the system.
+// mcsort::Status — the one error value passed between layers.
 //
-// Before this header existed the stack spoke four dialects: ExecStatus
-// (executor unwinding), IoStatus (persistence tier), net::ClientStatus
-// (what one wire call did), and dist::DistStatus (what a whole fan-out
-// did), plus the wire's ErrorCode as a fifth, serialized spelling. Every
-// layer boundary hand-rolled its own mapping. This header is the hub:
-// each taxonomy keeps its domain-specific enum (they carry real
-// distinctions — kBadMagic vs kCorrupt matters inside io/), but every one
-// of them converts to and from mcsort::Status via ToStatus()/FromStatus(),
-// and cross-layer call sites (executor entry points, catalog load, the
-// coordinator, the wire error mapping) traffic in Status only.
+// The executor, the admission ticket, io/ (snapshots, CSV ingest), spill
+// run files and the external sort, the catalog, and the coordinator all
+// return or carry a Status. A domain enum survives only where a caller
+// branches on it: net::ErrorCode is the wire spelling of StatusCode
+// (net/wire.h's ToErrorCode / ToStatus pair), and net::ClientStatus says
+// what one client call did, which the coordinator's retry policy reads.
 //
-// Code vocabulary follows the familiar canonical set (gRPC/absl) so the
-// mapping from any domain taxonomy is obvious, but only the codes an
-// mcsort layer actually produces are defined — this is not a kitchen sink.
-//
-// Conversion contract (tested in status_test.cc): for every domain
-// taxonomy T and every value t of T,
-//
-//   T::FromStatus(t.ToStatus()) round-trips t whenever t's distinction is
-//   representable in Status, and otherwise lands on the canonical code
-//   whose ToStatus image contains t — i.e. StatusCode is a quotient of
-//   each domain taxonomy, never a lossy re-interpretation.
+// Code vocabulary follows the familiar canonical set (gRPC/absl), but only
+// the codes an mcsort layer actually produces are defined — this is not a
+// kitchen sink.
 #ifndef MCSORT_COMMON_STATUS_H_
 #define MCSORT_COMMON_STATUS_H_
 
@@ -33,7 +21,7 @@ namespace mcsort {
 
 enum class StatusCode : uint8_t {
   kOk = 0,
-  kCancelled = 1,           // caller cancelled (ExecCode::kCancelled)
+  kCancelled = 1,           // caller cancelled (or injected)
   kDeadlineExceeded = 2,    // deadline expired before completion
   kResourceExhausted = 3,   // scratch/memory budget unsatisfiable
   kInvalidArgument = 4,     // malformed input (bad query, bad format)

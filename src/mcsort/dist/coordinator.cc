@@ -52,12 +52,13 @@ bool Retryable(net::ClientStatus status, net::ErrorCode error) {
   }
 }
 
-// Collapses the failed shards' outcomes into one DistStatus (most
-// specific verdict wins; cancellation and deadline trump the rest).
-DistStatus StatusOfFailures(const std::vector<ShardOutcome>& outcomes,
-                            bool cancelled) {
-  if (cancelled) return DistStatus::kCancelled;
-  DistStatus status = DistStatus::kShardFailed;
+// Collapses the failed shards' outcomes into one code (most specific
+// verdict wins; cancellation and deadline trump the rest; a shard that
+// merely ran out of replicas and retries is kUnavailable).
+StatusCode CodeOfFailures(const std::vector<ShardOutcome>& outcomes,
+                          bool cancelled) {
+  if (cancelled) return StatusCode::kCancelled;
+  StatusCode code = StatusCode::kUnavailable;
   for (const ShardOutcome& o : outcomes) {
     if (o.client_status == net::ClientStatus::kOk &&
         o.error == net::ErrorCode::kNone) {
@@ -65,26 +66,26 @@ DistStatus StatusOfFailures(const std::vector<ShardOutcome>& outcomes,
     }
     switch (o.error) {
       case net::ErrorCode::kCancelled:
-        return DistStatus::kCancelled;
+        return StatusCode::kCancelled;
       case net::ErrorCode::kDeadlineExceeded:
-        status = DistStatus::kDeadlineExceeded;
+        code = StatusCode::kDeadlineExceeded;
         break;
       case net::ErrorCode::kBadQuery:
       case net::ErrorCode::kMalformedQuery:
       case net::ErrorCode::kUnknownTable:
-        if (status == DistStatus::kShardFailed) {
-          status = DistStatus::kBadQuery;
+        if (code == StatusCode::kUnavailable) {
+          code = StatusCode::kInvalidArgument;
         }
         break;
       default:
         break;
     }
     if (o.client_status == net::ClientStatus::kCallTimeout &&
-        status == DistStatus::kShardFailed) {
-      status = DistStatus::kDeadlineExceeded;
+        code == StatusCode::kUnavailable) {
+      code = StatusCode::kDeadlineExceeded;
     }
   }
-  return status;
+  return code;
 }
 
 // Extracts group-by attribute `j`'s code back out of a merged composite
@@ -296,23 +297,24 @@ DistResult McsortCoordinator::Execute(const QuerySpec& spec,
                                       const DistCallOptions& call) {
   DistResult out;
   Count("dist.queries");
+  // Records a failed fan-out under dist.query_error.<status name>.
+  const auto fail = [&](Status status) {
+    Count(std::string("dist.query_error.") + status.name());
+    out.status = std::move(status);
+  };
   if (shards_.empty()) {
-    out.status = DistStatus::kNoShards;
-    out.detail = "no shards registered";
-    Count("dist.query_error.no_shards");
+    fail(Status::FailedPrecondition("no shards registered"));
     return out;
   }
   if (!spec.partition_by.empty() || !spec.window_order_column.empty()) {
-    out.status = DistStatus::kUnsupported;
-    out.detail = "window (PARTITION BY) queries are not distributed";
-    Count("dist.query_error.unsupported");
+    fail(Status::Unimplemented(
+        "window (PARTITION BY) queries are not distributed"));
     return out;
   }
   const bool per_group = !spec.group_by.empty();
   if (!per_group && spec.order_by.empty()) {
-    out.status = DistStatus::kUnsupported;
-    out.detail = "distributed execution requires GROUP BY or ORDER BY";
-    Count("dist.query_error.unsupported");
+    fail(Status::Unimplemented(
+        "distributed execution requires GROUP BY or ORDER BY"));
     return out;
   }
 
@@ -357,19 +359,19 @@ DistResult McsortCoordinator::Execute(const QuerySpec& spec,
     all_ok = all_ok && calls[s].ok;
   }
   if (!all_ok) {
-    out.status = StatusOfFailures(
-        out.shards, cancelled_.load(std::memory_order_acquire));
+    std::string detail;
     for (const ShardOutcome& o : out.shards) {
       if (o.client_status != net::ClientStatus::kOk ||
           o.error != net::ErrorCode::kNone) {
-        out.detail = "shard " + std::to_string(o.shard) + ": " +
-                     (o.detail.empty()
-                          ? net::ClientStatusName(o.client_status)
-                          : o.detail);
+        detail = "shard " + std::to_string(o.shard) + ": " +
+                 (o.detail.empty() ? net::ClientStatusName(o.client_status)
+                                   : o.detail);
         break;
       }
     }
-    Count(std::string("dist.query_error.") + DistStatusName(out.status));
+    fail(Status(CodeOfFailures(out.shards,
+                               cancelled_.load(std::memory_order_acquire)),
+                std::move(detail)));
     return out;
   }
 
@@ -391,10 +393,8 @@ DistResult McsortCoordinator::Execute(const QuerySpec& spec,
       bad = bad || elems != r.result_oids.size();
     }
     if (bad) {
-      out.status = DistStatus::kMergeError;
-      out.detail = "shard " + std::to_string(s) +
-                   " answered without coherent merge-key sections";
-      Count("dist.query_error.merge_error");
+      fail(Status::Internal("shard " + std::to_string(s) +
+                            " answered without coherent merge-key sections"));
       return out;
     }
   }
@@ -490,9 +490,8 @@ DistResult McsortCoordinator::Execute(const QuerySpec& spec,
       if (ros.key.rfind("agg:", 0) == 0) {
         const size_t idx = static_cast<size_t>(std::stoi(ros.key.substr(4)));
         if (idx >= num_specs) {
-          out.status = DistStatus::kBadQuery;
-          out.detail = "result_order references aggregate " + ros.key;
-          Count("dist.query_error.bad_query");
+          fail(Status::InvalidArgument("result_order references aggregate " +
+                                       ros.key));
           return out;
         }
         values = out.aggregate_values[idx];
@@ -502,16 +501,13 @@ DistResult McsortCoordinator::Execute(const QuerySpec& spec,
           if (spec.group_by[i] == ros.key) j = i;
         }
         if (j == spec.group_by.size()) {
-          out.status = DistStatus::kBadQuery;
-          out.detail = "result_order key is not a group-by column: " +
-                       ros.key;
-          Count("dist.query_error.bad_query");
+          fail(Status::InvalidArgument(
+              "result_order key is not a group-by column: " + ros.key));
           return out;
         }
-        if (widths.empty() &&
-            !FetchWidths(spec.group_by, &widths, &out.detail)) {
-          out.status = DistStatus::kMergeError;
-          Count("dist.query_error.merge_error");
+        std::string error;
+        if (widths.empty() && !FetchWidths(spec.group_by, &widths, &error)) {
+          fail(Status::Internal(std::move(error)));
           return out;
         }
         for (size_t g = 0; g < out.num_groups; ++g) {
@@ -548,7 +544,6 @@ DistResult McsortCoordinator::Execute(const QuerySpec& spec,
     options_.metrics->counter("dist.merge_full_compares")
         ->Add(out.merge_full_compares);
   }
-  out.status = DistStatus::kOk;
   Count("dist.queries_ok");
   return out;
 }

@@ -33,7 +33,6 @@
 #include <string>
 #include <vector>
 
-#include "mcsort/dist/dist_status.h"
 #include "mcsort/dist/merge.h"
 #include "mcsort/engine/query.h"
 #include "mcsort/net/client.h"
@@ -90,8 +89,14 @@ struct ShardOutcome {
 };
 
 struct DistResult {
-  DistStatus status = DistStatus::kOk;
-  std::string detail;
+  // The whole fan-out's outcome: kUnavailable when a shard exhausted its
+  // replicas and retries (no partial answer — the merged result would be
+  // silently wrong), kCancelled / kDeadlineExceeded, kInvalidArgument
+  // when a shard rejected the spec, kUnimplemented for spec shapes the
+  // distributed tier does not cover (window queries), kInternal when
+  // shard streams disagreed structurally, kFailedPrecondition with no
+  // shards registered. The detail names the first failed shard.
+  Status status;
   std::vector<ShardOutcome> shards;
 
   // Merged answer. GROUP BY specs fill num_groups / aggregate_values /
@@ -114,10 +119,7 @@ struct DistResult {
   uint64_t merge_emitted = 0;
   uint64_t merge_full_compares = 0;
 
-  bool ok() const { return status == DistStatus::kOk; }
-  // The whole fan-out's outcome lifted to the unified taxonomy
-  // (common/status.h), detail included.
-  Status ToStatus() const { return dist::ToStatus(status, detail); }
+  bool ok() const { return status.ok(); }
 };
 
 class McsortCoordinator {

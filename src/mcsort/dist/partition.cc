@@ -142,9 +142,9 @@ PartitionToDiskResult PartitionToSnapshots(const Table& table,
     char sub[32];
     std::snprintf(sub, sizeof(sub), "/shard%zu/", s);
     const std::string dir = out_root + sub + name;
-    const IoStatus io = parts.shards[s].SaveSnapshot(dir);
+    const Status io = parts.shards[s].SaveSnapshot(dir);
     if (!io.ok()) {
-      out.error = "snapshot " + dir + ": " + io.message;
+      out.error = "snapshot " + dir + ": " + io.detail;
       return out;
     }
     out.shard_dirs.push_back(dir);

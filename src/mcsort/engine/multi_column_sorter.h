@@ -55,7 +55,7 @@ struct MultiColumnSortResult {
   // Outcome: kOk for a completed sort. On cancellation / deadline expiry /
   // injected fault the sort unwinds at the next boundary and oids/groups
   // are partial garbage — only `status` and the timings are meaningful.
-  ExecStatus status;
+  Status status;
   // Permutation: row r of the sorted order is input row oids[r].
   std::vector<Oid> oids;
   // Final grouping: rows tied on *all* sort attributes.

@@ -104,7 +104,7 @@ ExecResult QueryExecutor::Execute(const QuerySpec& spec,
     // succeeds — it explains why the query degraded instead of spilling.
     key_too_wide = key_too_wide || attempt.result.spill_key_too_wide;
     attempt.result.spill_key_too_wide = key_too_wide;
-    if (attempt.status.code != ExecCode::kResourceExhausted ||
+    if (attempt.status.code != StatusCode::kResourceExhausted ||
         !options_.use_massage) {
       return attempt;
     }
@@ -135,10 +135,8 @@ ExecResult QueryExecutor::ExecuteOnce(const QuerySpec& spec,
   // Phase-boundary stop check: partial payloads stay in the result (their
   // timings are real) but callers must discard them on a non-ok status.
   const auto stopped = [&]() {
-    if (!stoppable) return false;
-    const ExecCode code = ctx.StopCheck();
-    if (code == ExecCode::kOk) return false;
-    out.status = ExecStatus::FromCode(code);
+    if (!stoppable || !ctx.StopRequested()) return false;
+    out.status = ctx.StopStatus();
     return true;
   };
   Timer timer;
@@ -296,16 +294,11 @@ ExecResult QueryExecutor::ExecuteOnce(const QuerySpec& spec,
     const bool key_fits = external::CanExternalSort(inputs);
     bool spill =
         options_.spill.enabled && slice_rows > 0 && slice_rows < n && key_fits;
-    if (options_.spill.enabled && slice_rows > 0 && slice_rows < n &&
-        !key_fits) {
-      // The spill arm was viable except for the key width: surface a typed
-      // kUnimplemented instead of silently degrading, so operators can see
-      // why the budget knob stopped helping on wide-key workloads.
-      result.spill_key_too_wide = true;
-      out.detail = Status::Unimplemented(
-          "composite sort key is " + std::to_string(total_width) +
-          " bits; external merge caps at 128 — degrade-by-narrowing only");
-    }
+    // The spill arm was viable except for the key width: flag it instead of
+    // silently degrading, so operators can see why the budget knob stopped
+    // helping on wide-key workloads.
+    result.spill_key_too_wide = options_.spill.enabled && slice_rows > 0 &&
+                                slice_rows < n && !key_fits;
     if (spill && options_.use_massage) {
       int widest = 0;
       for (const Round& round : plan.rounds()) {
@@ -336,8 +329,12 @@ ExecResult QueryExecutor::ExecuteOnce(const QuerySpec& spec,
       }
     }
     if (!spill) {
-      out.status =
-          ExecStatus::ResourceExhausted("plan scratch estimate over budget");
+      std::string detail = "plan scratch estimate over budget";
+      if (result.spill_key_too_wide) {
+        detail += "; composite sort key is " + std::to_string(total_width) +
+                  " bits, external merge caps at 128";
+      }
+      out.status = Status::ResourceExhausted(std::move(detail));
       return out;
     }
     spill_slice_rows = slice_rows;
@@ -364,8 +361,7 @@ ExecResult QueryExecutor::ExecuteOnce(const QuerySpec& spec,
     result.spill_bytes = spilled.run_bytes;
     result.spill_run_gen_seconds = spilled.run_gen_seconds;
     result.spill_merge_seconds = spilled.merge_seconds;
-    sorted.status = ExecStatus::FromStatus(spilled.status);
-    if (!spilled.status.ok()) out.detail = spilled.status;
+    sorted.status = std::move(spilled.status);
     sorted.oids = std::move(spilled.oids);
     sorted.groups = std::move(spilled.groups);
   } else {

@@ -203,8 +203,8 @@ struct QueryResult {
   // True when the over-budget router wanted to spill but the composite
   // sort key exceeds the external merge's 128-bit key cap — the plan fell
   // back to degrade-by-narrowing (or failed at the 16-bit floor). Typed
-  // rather than silent: ExecResult::detail carries kUnimplemented with the
-  // offending width, and the service bumps exec.spill.key_too_wide.
+  // rather than silent: the service bumps exec.spill.key_too_wide, and an
+  // over-budget failure's kResourceExhausted detail names the key width.
   bool spill_key_too_wide = false;
 
   // Result payloads (for verification and examples).
@@ -273,17 +273,10 @@ struct PlanHint {
 // QueryResult holds whatever phases completed (timings are valid; payloads
 // are partial and must be discarded).
 struct ExecResult {
-  ExecStatus status;
-  // Richer unified outcome, set when the failure originated outside the
-  // executor's own four-code vocabulary (e.g. spill-file IO: kUnavailable,
-  // corrupt run: kDataLoss). Empty/ok on the straight path and on plain
-  // executor unwinds; always consult ToStatus() rather than this directly.
-  Status detail;
+  Status status;
   QueryResult result;
   bool ok() const { return status.ok(); }
-  // The execution outcome lifted to the unified taxonomy (common/status.h):
-  // the preserved rich status when one exists, else the ExecStatus image.
-  Status ToStatus() const { return detail.ok() ? status.ToStatus() : detail; }
+  Status ToStatus() const { return status; }
 };
 
 class QueryExecutor {

@@ -1,52 +1,16 @@
-// Typed error reporting for the persistence tier (io/), plus the load-mode
-// options shared by Table::LoadSnapshot and the catalog. Lives in its own
-// leaf header so storage/table.h can name these types without pulling in
-// the snapshot machinery.
+// The load-mode options shared by Table::LoadSnapshot and the catalog.
+// Lives in its own leaf header so storage/table.h can name these types
+// without pulling in the snapshot machinery. io/ reports failures as
+// mcsort::Status: kUnavailable for a failed syscall (the message has
+// errno), kDataLoss for a CRC mismatch or truncated section,
+// kInvalidArgument for a wrong magic or a structurally invalid file, and
+// kFailedPrecondition for an incompatible format version.
 #ifndef MCSORT_IO_IO_STATUS_H_
 #define MCSORT_IO_IO_STATUS_H_
-
-#include <string>
-#include <utility>
 
 #include "mcsort/common/status.h"
 
 namespace mcsort {
-
-enum class IoCode {
-  kOk = 0,
-  kIoError,     // open/read/write/mmap syscall failure (message has errno)
-  kBadMagic,    // not a snapshot file
-  kBadVersion,  // snapshot from an incompatible format version
-  kCorrupt,     // CRC32C mismatch or truncated section
-  kBadFormat,   // structurally invalid (bad widths, counts, offsets)
-};
-
-const char* IoCodeName(IoCode code);
-
-// Status-or-error result of an io/ operation. Corruption and version skew
-// are *values*, not crashes: a server must survive a bad snapshot file.
-struct IoStatus {
-  IoCode code = IoCode::kOk;
-  std::string message;
-
-  bool ok() const { return code == IoCode::kOk; }
-
-  static IoStatus Ok() { return {}; }
-  static IoStatus Error(IoCode code, std::string message) {
-    return {code, std::move(message)};
-  }
-
-  // Human-readable "kind: message" line for logs and wire error details.
-  std::string ToString() const;
-
-  // Unified-status bridge (common/status.h): kIoError -> kUnavailable
-  // (the medium may recover), kCorrupt -> kDataLoss (it will not),
-  // kBadMagic/kBadFormat -> kInvalidArgument, kBadVersion ->
-  // kFailedPrecondition. FromStatus inverts onto the canonical member of
-  // each class (kInvalidArgument -> kBadFormat), preserving the detail.
-  Status ToStatus() const;
-  static IoStatus FromStatus(const Status& status);
-};
 
 // How LoadSnapshot materializes column codes.
 enum class SnapshotLoadMode {

@@ -47,9 +47,9 @@ enum class SnapshotSection : uint8_t {
 
 // Free-function form of Table::SaveSnapshot / Table::LoadSnapshot (the
 // methods forward here; both are implemented in snapshot.cc).
-IoStatus SaveTableSnapshot(const Table& table, const std::string& dir);
-IoStatus LoadTableSnapshot(const std::string& dir,
-                           const SnapshotLoadOptions& options, Table* out);
+Status SaveTableSnapshot(const Table& table, const std::string& dir);
+Status LoadTableSnapshot(const std::string& dir,
+                         const SnapshotLoadOptions& options, Table* out);
 
 // Names of the snapshot subdirectories of `root` (directories containing a
 // MANIFEST.mcs), sorted — the catalog's view of a data directory. Missing

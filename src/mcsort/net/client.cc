@@ -30,27 +30,6 @@ void SetSocketTimeout(int fd, int which, double seconds) {
   setsockopt(fd, SOL_SOCKET, which, &tv, sizeof(tv));
 }
 
-// Maps the wire error taxonomy back onto the engine's typed status, so
-// callers can treat a remote cancellation/deadline exactly like a local
-// one. Transport-ish codes collapse to kResourceExhausted-flavoured
-// failure via RemoteResult::error instead.
-ExecStatus StatusFromError(ErrorCode code) {
-  switch (code) {
-    case ErrorCode::kNone:
-      return ExecStatus::Ok();
-    case ErrorCode::kCancelled:
-      return ExecStatus::Cancelled("cancelled (remote)");
-    case ErrorCode::kDeadlineExceeded:
-      return ExecStatus::DeadlineExceeded("deadline exceeded (remote)");
-    case ErrorCode::kResourceExhausted:
-      return ExecStatus::ResourceExhausted("resource exhausted (remote)");
-    default:
-      // Not an execution outcome; leave status ok and let callers consult
-      // RemoteResult::error.
-      return ExecStatus::Ok();
-  }
-}
-
 // Blocking connect with a timeout: non-blocking connect + poll(POLLOUT),
 // then back to blocking mode.
 bool ConnectWithTimeout(int fd, const sockaddr* addr, socklen_t len,
@@ -104,31 +83,6 @@ const char* ClientStatusName(ClientStatus status) {
     case ClientStatus::kServerError: return "server_error";
   }
   return "unknown";
-}
-
-Status ToStatus(ClientStatus status, std::string detail) {
-  switch (status) {
-    case ClientStatus::kOk: return Status::Ok();
-    case ClientStatus::kNotConnected:
-      return Status::FailedPrecondition(std::move(detail));
-    case ClientStatus::kTransportError:
-      return Status::Unavailable(std::move(detail));
-    case ClientStatus::kCallTimeout:
-      return Status::DeadlineExceeded(std::move(detail));
-    case ClientStatus::kServerError:
-      return Status::Internal(std::move(detail));
-  }
-  return Status::Internal(std::move(detail));
-}
-
-ClientStatus ClientStatusFromStatus(const Status& status) {
-  switch (status.code) {
-    case StatusCode::kOk: return ClientStatus::kOk;
-    case StatusCode::kFailedPrecondition: return ClientStatus::kNotConnected;
-    case StatusCode::kDeadlineExceeded: return ClientStatus::kCallTimeout;
-    case StatusCode::kInternal: return ClientStatus::kServerError;
-    default: return ClientStatus::kTransportError;
-  }
 }
 
 McsortClient::McsortClient(const ClientOptions& options) : options_(options) {}
@@ -355,7 +309,6 @@ ClientStatus McsortClient::TryQuery(const QuerySpec& spec,
       out.transport_ok = true;
       out.error = info.code;
       out.error_detail = info.detail;
-      out.status = StatusFromError(info.code);
       return ClientStatus::kServerError;
     }
     if (frame.type() != FrameType::kResult) {
@@ -380,7 +333,6 @@ ClientStatus McsortClient::TryQuery(const QuerySpec& spec,
   }
   out.transport_ok = true;
   out.error = ErrorCode::kNone;
-  out.status = ExecStatus::Ok();
   ResultPayload& payload = assembler.result();
   out.summary = payload.summary;
   out.aggregate_values = std::move(payload.aggregate_values);

@@ -17,7 +17,6 @@
 #include <mutex>
 #include <string>
 
-#include "mcsort/common/exec_context.h"
 #include "mcsort/engine/query.h"
 #include "mcsort/net/frame_io.h"
 #include "mcsort/net/protocol.h"
@@ -55,7 +54,8 @@ struct QueryCallOptions {
 
 // Typed outcome of TryQuery — what the *call* did, orthogonal to what the
 // server answered (RemoteResult::error carries the server's verdict when
-// the status is kServerError).
+// the status is kServerError). The coordinator's retry policy branches on
+// it: a call timeout fails over, a server-side deadline does not.
 enum class ClientStatus : uint8_t {
   kOk = 0,
   kNotConnected,    // no live connection; Connect (again) first
@@ -67,22 +67,13 @@ enum class ClientStatus : uint8_t {
 // Stable lowercase name ("ok", "transport_error", ...) for logs/metrics.
 const char* ClientStatusName(ClientStatus status);
 
-// Unified-status bridge (common/status.h): kNotConnected ->
-// kFailedPrecondition (call Connect first), kTransportError ->
-// kUnavailable (retry/fail over), kCallTimeout -> kDeadlineExceeded,
-// kServerError -> kInternal (the server's own verdict travels separately
-// in RemoteResult). FromStatus inverts onto the canonical member.
-Status ToStatus(ClientStatus status, std::string detail = "");
-ClientStatus ClientStatusFromStatus(const Status& status);
-
 // Outcome of one remote query. `transport_ok` distinguishes "the wire
 // failed" (connection lost, garbled reply) from "the server answered" —
-// when it is true, `error`/`status` carry the server's typed verdict.
+// when it is true, `error` carries the server's typed verdict.
 struct RemoteResult {
   bool transport_ok = false;
   ErrorCode error = ErrorCode::kNone;  // kNone on success
   std::string error_detail;
-  ExecStatus status;  // execution outcome mapped back from the wire
 
   ResultSummary summary;
   std::vector<std::vector<int64_t>> aggregate_values;
@@ -94,17 +85,13 @@ struct RemoteResult {
   // want_merge_keys and the server supports them).
   ResultExtras extras;
 
-  bool ok() const {
-    return transport_ok && error == ErrorCode::kNone && status.ok();
-  }
+  bool ok() const { return transport_ok && error == ErrorCode::kNone; }
 
-  // The whole call collapsed to one unified status: the transport's
-  // verdict when the wire failed, else the server's typed error, else the
-  // execution outcome. ok() == ToStatus().ok().
+  // The whole call as one Status: kUnavailable when the wire failed, else
+  // the server's typed error. ok() == ToStatus().ok().
   Status ToStatus() const {
     if (!transport_ok) return Status::Unavailable(error_detail);
-    if (error != ErrorCode::kNone) return net::ToStatus(error, error_detail);
-    return status.ToStatus();
+    return net::ToStatus(error, error_detail);
   }
 };
 

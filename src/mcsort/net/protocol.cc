@@ -441,7 +441,7 @@ std::string EncodeTableOpReply(const TableOpReply& reply) {
   std::string out;
   WireWriter w(&out);
   w.U8(reply.ok ? 1 : 0);
-  w.U8(reply.io_code);
+  w.U8(reply.status_code);
   w.Str(reply.detail);
   w.F64(reply.seconds);
   w.U64(reply.rows);
@@ -451,7 +451,10 @@ std::string EncodeTableOpReply(const TableOpReply& reply) {
 bool DecodeTableOpReply(const std::string& payload, TableOpReply* reply) {
   WireReader r(payload);
   reply->ok = r.U8() != 0;
-  reply->io_code = r.U8();
+  reply->status_code = r.U8();
+  if (reply->status_code > static_cast<uint8_t>(StatusCode::kInternal)) {
+    return false;
+  }
   reply->detail = r.Str();
   reply->seconds = r.F64();
   reply->rows = r.U64();

@@ -126,12 +126,11 @@ struct TableOpRequest {
   std::string table;
 };
 
-// kTableOpReply payload: the operation's outcome. `io_code` is the
-// mcsort::IoCode of the failure as a u8 (0 = ok); `detail` carries the
-// IoStatus message text.
+// kTableOpReply payload: the operation's outcome. `status_code` is the
+// mcsort::StatusCode as a u8 (0 = ok); `detail` carries the Status detail.
 struct TableOpReply {
   bool ok = false;
-  uint8_t io_code = 0;
+  uint8_t status_code = 0;
   std::string detail;
   double seconds = 0;   // wall time of the save/load on the server
   uint64_t rows = 0;    // row count of the table operated on

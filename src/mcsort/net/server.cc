@@ -117,14 +117,6 @@ struct McsortServer::NetCounters {
 
 namespace {
 
-// Executor outcomes reach the wire through the unified status hub: the
-// ExecStatus is lifted to mcsort::Status and serialized with the one wire
-// mapping, so a remote peer sees exactly what a local caller would.
-ErrorCode ErrorCodeOf(const ExecStatus& status) {
-  if (status.ok()) return ErrorCode::kInternal;  // "error" path only
-  return ToErrorCode(status.ToStatus());
-}
-
 bool ColumnsExist(const Table& table, const std::vector<std::string>& names,
                   std::string* detail) {
   for (const std::string& name : names) {
@@ -977,10 +969,7 @@ void McsortServer::WorkerThread() {
                                     : service_->LoadTable(job.table_name);
       TableOpReply reply;
       reply.ok = status.ok();
-      // The wire reply still speaks the snapshot codec's IoCode; recover it
-      // from the unified status (kOk has no IoCode — leave the zero value).
-      reply.io_code =
-          static_cast<uint8_t>(IoStatus::FromStatus(status).code);
+      reply.status_code = static_cast<uint8_t>(status.code);
       reply.detail = status.detail;
       reply.seconds = timer.Seconds();
       if (status.ok()) {
@@ -1057,7 +1046,9 @@ void McsortServer::WorkerThread() {
       BuildResultFrames(job.request_id, run.result,
                         options_.result_chunk_bytes, &frames);
     } else {
-      const ErrorCode code = ErrorCodeOf(run.status);
+      // The query's own Status, serialized with the one wire mapping, so a
+      // remote peer sees exactly what a local caller would.
+      const ErrorCode code = ToErrorCode(run.status);
       service_->metrics()
           .counter(std::string("net.query_error.") + ErrorCodeName(code))
           ->Increment();

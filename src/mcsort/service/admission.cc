@@ -21,7 +21,7 @@ AdmissionController::Ticket& AdmissionController::Ticket::operator=(
     controller_ = std::exchange(other.controller_, nullptr);
     bytes_ = other.bytes_;
     wait_seconds_ = other.wait_seconds_;
-    status_ = other.status_;
+    status_ = std::move(other.status_);
   }
   return *this;
 }
@@ -56,8 +56,7 @@ AdmissionController::Ticket AdmissionController::Admit(
   };
   while (!runnable()) {
     if (stoppable) {
-      const ExecCode code = ctx.StopCheck();
-      if (code != ExecCode::kOk) {
+      if (ctx.StopRequested()) {
         // Abandon: drop out of the wait set so headship passes to the
         // next arrival, and report the stop instead of a slot.
         waiting_.erase(my_turn);
@@ -65,7 +64,7 @@ AdmissionController::Ticket AdmissionController::Admit(
         lock.unlock();
         cv_.notify_all();
         Ticket ticket;
-        ticket.status_ = ExecStatus::FromCode(code);
+        ticket.status_ = ctx.StopStatus();
         ticket.wait_seconds_ = timer.Seconds();
         return ticket;
       }

@@ -233,14 +233,14 @@ Status QueryService::SaveTable(const std::string& name) {
   // written table saves its merged image, so the snapshot never loses
   // un-compacted rows.
   if (version != nullptr) table = version->Snapshot();
-  const IoStatus st = SaveTableSnapshot(*table, dir);
+  Status st = SaveTableSnapshot(*table, dir);
   if (st.ok()) {
     std::lock_guard<std::mutex> lock(tables_mu_);
     Binding* binding = FindBindingLocked(name);
     if (binding != nullptr) binding->on_disk = true;
     metrics_.counter("catalog.saves")->Increment();
   }
-  return st.ToStatus();
+  return st;
 }
 
 Status QueryService::LoadTable(const std::string& name) {
@@ -258,10 +258,10 @@ Status QueryService::LoadTable(const std::string& name) {
     load = catalog_.load;
   }
   auto loaded = std::make_shared<Table>();
-  const IoStatus st = LoadTableSnapshot(dir, load, loaded.get());
+  Status st = LoadTableSnapshot(dir, load, loaded.get());
   if (!st.ok()) {
     metrics_.counter("catalog.load_failures")->Increment();
-    return st.ToStatus();
+    return st;
   }
   std::lock_guard<std::mutex> lock(tables_mu_);
   Binding& binding = UpsertBindingLocked(name);
@@ -380,8 +380,7 @@ bool QueryService::CompactTable(const std::string& name) {
   delta::MergedTable merged = delta::BuildMergedTable(job.base, job.snap);
   const uint64_t merged_rows = merged.table->row_count();
   if (save) {
-    const IoStatus st = SaveTableSnapshot(*merged.table, dir);
-    if (!st.ok()) {
+    if (!SaveTableSnapshot(*merged.table, dir).ok()) {
       // Publish in memory anyway: durability degraded, not correctness.
       metrics_.counter("compaction.save_failures")->Increment();
       save = false;
@@ -522,8 +521,9 @@ ExecResult QueryService::ExecuteOn(QuerySession* session,
   }
   QueryResult& result = out.result;
 
-  // Outcome accounting: exec.ok / exec.cancelled / exec.deadline_exceeded
-  // / exec.resource_exhausted, plus degradations absorbed along the way.
+  // Outcome accounting: exec.<status name> (ok, cancelled,
+  // deadline_exceeded, resource_exhausted, and a failed spill's unavailable
+  // or data_loss), plus degradations absorbed along the way.
   metrics_.counter(std::string("exec.") + out.status.name())->Increment();
   if (result.degraded) metrics_.counter("exec.degraded")->Increment();
   if (result.spill_key_too_wide) {

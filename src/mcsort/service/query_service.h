@@ -160,11 +160,9 @@ class QueryService {
   // registered table to <dir>/<name>; LoadTable (re)loads <dir>/<name>
   // into memory and binds it, making it immediately queryable.
   //
-  // Unified-status entry points: the codec's IoStatus is lifted via
-  // IoStatus::ToStatus() (kNotFound for an unknown/unloaded table,
-  // kFailedPrecondition when no catalog is attached, kInvalidArgument for
-  // bad names). Wire front-ends recover the legacy TableOpReply io_code
-  // with IoStatus::FromStatus.
+  // Either returns the snapshot codec's Status as is, or kNotFound for an
+  // unknown/unloaded table, kFailedPrecondition when no catalog is
+  // attached, kInvalidArgument for bad names.
   Status SaveTable(const std::string& name);
   Status LoadTable(const std::string& name);
 

@@ -79,9 +79,9 @@ class Table {
   // Writes the table as a versioned on-disk snapshot directory; loads one
   // back, either copying into fresh buffers (kBuffered) or mapping the
   // code arrays zero-copy (kMmap; the mapping stays pinned to the table).
-  IoStatus SaveSnapshot(const std::string& dir) const;
-  static IoStatus LoadSnapshot(const std::string& dir,
-                               const SnapshotLoadOptions& options, Table* out);
+  Status SaveSnapshot(const std::string& dir) const;
+  static Status LoadSnapshot(const std::string& dir,
+                             const SnapshotLoadOptions& options, Table* out);
 
   // Loader plumbing: adds a column together with its dictionary / domain
   // base in one call, and installs pre-built caches so a loaded table never

@@ -986,8 +986,10 @@ TEST(DeltaServiceTest, ConcurrentSnapshotsShareOneBuild) {
 // ---------------------------------------------------------------------------
 
 // A composite key wider than the external merge's 128-bit cap must fail
-// over to degrade-by-narrowing with a TYPED kUnimplemented detail and the
-// exec.spill.key_too_wide counter — never a silent degrade.
+// over to degrade-by-narrowing with the exec.spill.key_too_wide counter —
+// never a silent degrade. At the bank floor the query fails over budget
+// (kResourceExhausted, as the wire reports it), and the detail names the
+// key width and the cap.
 TEST(SpillKeyWidthTest, OverWideKeyIsTypedNotSilent) {
   const size_t n = 4096;
   Rng rng(66);
@@ -1013,6 +1015,11 @@ TEST(SpillKeyWidthTest, OverWideKeyIsTypedNotSilent) {
   EXPECT_TRUE(run.result.spill_key_too_wide);
   EXPECT_EQ(
       service.metrics().counter("exec.spill.key_too_wide")->value(), 1u);
+  EXPECT_EQ(run.ToStatus().code, StatusCode::kResourceExhausted);
+  EXPECT_NE(run.status.detail.find("135 bits"), std::string::npos)
+      << run.status.detail;
+  EXPECT_NE(run.status.detail.find("128"), std::string::npos)
+      << run.status.detail;
 }
 
 }  // namespace

@@ -496,7 +496,7 @@ class DistEndToEndTest : public ::testing::Test {
 
   void ExpectGroupsBitIdentical(const DistResult& dist,
                                 const QueryResult& want) {
-    ASSERT_EQ(dist.status, DistStatus::kOk) << dist.detail;
+    ASSERT_TRUE(dist.ok()) << dist.status.ToString();
     ASSERT_EQ(dist.num_groups, want.num_groups);
     const Segments& groups = want.sort_profile.groups;
     ASSERT_EQ(groups.count(), want.num_groups);
@@ -571,7 +571,7 @@ TEST_F(DistEndToEndTest, OrderByBitIdenticalToSingleNode) {
   StartCluster(options);
 
   const DistResult dist = coordinator_->Execute(OrderSpec());
-  ASSERT_EQ(dist.status, DistStatus::kOk) << dist.detail;
+  ASSERT_TRUE(dist.ok()) << dist.status.ToString();
   const QueryResult want = Reference(OrderSpec());
   // Shards carry the partitioner's __goid, so the merged oids are global
   // pre-shard row ids — directly comparable to the unsharded run.
@@ -596,7 +596,7 @@ TEST_F(DistEndToEndTest, SnapshotReloadedShardsStayBitIdentical) {
   shard_tables_.clear();
   for (const std::string& dir : disk.shard_dirs) {
     Table loaded;
-    const IoStatus st = LoadTableSnapshot(dir, SnapshotLoadOptions{}, &loaded);
+    const Status st = LoadTableSnapshot(dir, SnapshotLoadOptions{}, &loaded);
     ASSERT_TRUE(st.ok()) << st.ToString();
     shard_tables_.push_back(std::move(loaded));
   }
@@ -615,7 +615,7 @@ TEST_F(DistEndToEndTest, SnapshotReloadedShardsStayBitIdentical) {
   ExpectGroupsBitIdentical(coordinator_->Execute(GroupSpec()),
                            Reference(GroupSpec()));
   const DistResult order = coordinator_->Execute(OrderSpec());
-  ASSERT_EQ(order.status, DistStatus::kOk) << order.detail;
+  ASSERT_TRUE(order.ok()) << order.status.ToString();
   EXPECT_EQ(order.result_oids, Reference(OrderSpec()).result_oids);
 
   std::string cmd = std::string("rm -rf ") + root;
@@ -679,14 +679,15 @@ TEST_F(DistEndToEndTest, ShardFailsWhenEveryEndpointIsDead) {
   coordinator->AddShard(std::move(s1));
 
   const DistResult dist = coordinator->Execute(GroupSpec());
-  EXPECT_EQ(dist.status, DistStatus::kShardFailed);
+  EXPECT_EQ(dist.status.code, StatusCode::kUnavailable);
   EXPECT_EQ(dist.shards[1].endpoint_used, -1);
   EXPECT_EQ(dist.shards[1].attempts, 2);
 }
 
 TEST_F(DistEndToEndTest, ValidationRejectsWindowAndEmptyCluster) {
   McsortCoordinator empty;
-  EXPECT_EQ(empty.Execute(GroupSpec()).status, DistStatus::kNoShards);
+  EXPECT_EQ(empty.Execute(GroupSpec()).status.code,
+            StatusCode::kFailedPrecondition);
 
   PartitionOptions options;
   options.num_shards = 2;
@@ -695,7 +696,8 @@ TEST_F(DistEndToEndTest, ValidationRejectsWindowAndEmptyCluster) {
                                .PartitionBy({"a"})
                                .WindowOrder("m")
                                .Build();
-  EXPECT_EQ(coordinator_->Execute(window).status, DistStatus::kUnsupported);
+  EXPECT_EQ(coordinator_->Execute(window).status.code,
+            StatusCode::kUnimplemented);
 }
 
 // Cancellation and deadlines against a deliberately large table so shard
@@ -747,8 +749,8 @@ TEST_F(DistRobustnessTest, CancelMidFanOutUnwindsBounded) {
   canceller.join();
   // Either the cancel landed mid-flight (typed kCancelled) or the cluster
   // outran the 20 ms fuse; both must return promptly.
-  if (dist.status != DistStatus::kOk) {
-    EXPECT_EQ(dist.status, DistStatus::kCancelled) << dist.detail;
+  if (!dist.ok()) {
+    EXPECT_EQ(dist.status.code, StatusCode::kCancelled) << dist.status.detail;
   }
   EXPECT_LT(seconds, 30.0);  // sanitizer headroom; plain builds ~100x faster
 }
@@ -762,8 +764,9 @@ TEST_F(DistRobustnessTest, DeadlineExpiresAcrossTheFanOut) {
   const double seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
-  if (dist.status != DistStatus::kOk) {
-    EXPECT_EQ(dist.status, DistStatus::kDeadlineExceeded) << dist.detail;
+  if (!dist.ok()) {
+    EXPECT_EQ(dist.status.code, StatusCode::kDeadlineExceeded)
+        << dist.status.detail;
   }
   EXPECT_LT(seconds, 30.0);
 }

@@ -121,10 +121,9 @@ TEST(RunFileTest, CorruptBlockIsTypedCorrupt) {
   RunReader reader;
   ASSERT_TRUE(reader.Open(path).ok());  // directory + tail are untouched
   RunBlock block;
-  const IoStatus st = reader.ReadBlock(0, &block);
-  EXPECT_EQ(st.code, IoCode::kCorrupt);
-  // The unified mapping the executor reports: CRC damage is data loss.
-  EXPECT_EQ(st.ToStatus().code, StatusCode::kDataLoss);
+  const Status st = reader.ReadBlock(0, &block);
+  // CRC damage is data loss.
+  EXPECT_EQ(st.code, StatusCode::kDataLoss);
   // The other blocks are unaffected.
   EXPECT_TRUE(reader.ReadBlock(1, &block).ok());
 }
@@ -146,13 +145,15 @@ TEST(RunFileTest, TruncationAndBadMagicRejected) {
     ASSERT_EQ(std::fwrite(&zero, sizeof(zero), 1, f), 1u);
     std::fclose(f);
     RunReader reader;
-    EXPECT_EQ(reader.Open(path).code, IoCode::kBadMagic);
+    const Status st = reader.Open(path);
+    EXPECT_EQ(st.code, StatusCode::kInvalidArgument);
+    EXPECT_NE(st.detail.find("bad magic"), std::string::npos) << st.detail;
   }
   // Truncate below the minimum preamble+tail size: typed kCorrupt.
   {
     ASSERT_EQ(::truncate(path.c_str(), external::kRunPageBytes / 2), 0);
     RunReader reader;
-    EXPECT_EQ(reader.Open(path).code, IoCode::kCorrupt);
+    EXPECT_EQ(reader.Open(path).code, StatusCode::kDataLoss);
   }
 }
 
@@ -552,8 +553,53 @@ TEST(ExecutorSpillTest, SpillDisabledFallsBackToResourceExhausted) {
       QueryExecutor::EstimatePlanScratchBytes(baseline.result.plan, n) / 8);
   const ExecResult run = executor.Execute(SpillOrderBy(), ctx);
   EXPECT_FALSE(run.ok());
-  EXPECT_EQ(run.status.code, ExecCode::kResourceExhausted);
+  EXPECT_EQ(run.status.code, StatusCode::kResourceExhausted);
   EXPECT_EQ(run.ToStatus().code, StatusCode::kResourceExhausted);
+}
+
+TEST(ExecutorSpillTest, SpillIoFailureIsNotAScratchShortage) {
+  // An uncreatable spill directory is an IO failure, not a scratch
+  // shortage: it must surface as kUnavailable from the attempt that
+  // spilled instead of being re-planned down the bank caps.
+  const size_t n = 150'000;
+  const Table table = SpillTable(n, 56);
+  ThreadPool pool(2);
+  ExecutorOptions options;
+  options.pool = &pool;
+  options.spill.dir = "/dev/null/spill";
+  // Lookups priced out: every narrower plan needs a lookup round, so the
+  // router takes the spill arm on the first attempt.
+  options.params.cache_cycles = 1e6;
+  options.params.mem_cycles = 1e6;
+  QueryExecutor executor(table, options);
+  const QuerySpec spec = SpillOrderBy();
+
+  const ExecResult baseline = executor.Execute(spec, ExecContext::Default());
+  ASSERT_TRUE(baseline.ok());
+  ExecContext ctx;
+  ctx.WithScratchBudget(
+      QueryExecutor::EstimatePlanScratchBytes(baseline.result.plan, n) / 8);
+  const ExecResult run = executor.Execute(spec, ctx);
+  const Status status = run.ToStatus();
+  EXPECT_EQ(status.code, StatusCode::kUnavailable) << status.ToString();
+  EXPECT_NE(status.detail.find("spill directory"), std::string::npos)
+      << status.detail;
+  EXPECT_FALSE(run.result.degraded);
+  EXPECT_EQ(run.result.bank_cap, 0);
+
+  // The service counts it as what it is.
+  ServiceOptions service_options;
+  service_options.threads = 2;
+  service_options.params = options.params;
+  service_options.spill.dir = "/dev/null/spill";
+  QueryService service(service_options);
+  auto session = service.OpenSession(table);
+  const ExecResult served = session->Execute(spec, ctx);
+  EXPECT_EQ(served.ToStatus().code, StatusCode::kUnavailable)
+      << served.ToStatus().ToString();
+  EXPECT_EQ(service.metrics().counter("exec.unavailable")->value(), 1u);
+  EXPECT_EQ(service.metrics().counter("exec.resource_exhausted")->value(),
+            0u);
 }
 
 TEST(ExecutorSpillTest, SpillCyclesScalesWithVolumeAndParams) {

@@ -6,7 +6,7 @@
 // original as far as the engine can observe, i.e. a multi-column sort over
 // columns of all three banks (16/32/64-bit) yields the same oid
 // permutation and the same group boundaries. Corruption anywhere (manifest
-// or any section) must surface as a typed IoStatus, never a crash.
+// or any section) must surface as a typed Status, never a crash.
 #include "mcsort/io/snapshot.h"
 
 #include <unistd.h>
@@ -127,7 +127,7 @@ TEST(SnapshotTest, RoundTripAllBanksBothLoadPaths) {
     SnapshotLoadOptions load;
     load.mode = mode;
     Table loaded;
-    const IoStatus st = Table::LoadSnapshot(dir, load, &loaded);
+    const Status st = Table::LoadSnapshot(dir, load, &loaded);
     ASSERT_TRUE(st.ok()) << st.ToString();
     ExpectTablesEquivalent(original, loaded);
     EXPECT_EQ(loaded.column("w12").is_view(),
@@ -210,9 +210,9 @@ TEST(SnapshotTest, CorruptedSectionIsTypedError) {
     SnapshotLoadOptions load;
     load.mode = mode;
     Table loaded;
-    const IoStatus st = Table::LoadSnapshot(dir, load, &loaded);
+    const Status st = Table::LoadSnapshot(dir, load, &loaded);
     EXPECT_FALSE(st.ok());
-    EXPECT_EQ(st.code, IoCode::kCorrupt) << st.ToString();
+    EXPECT_EQ(st.code, StatusCode::kDataLoss) << st.ToString();
   }
 }
 
@@ -231,20 +231,20 @@ TEST(SnapshotTest, CorruptedManifestIsTypedError) {
     f.write(&junk, 1);
   }
   Table loaded;
-  const IoStatus st = Table::LoadSnapshot(dir, {}, &loaded);
+  const Status st = Table::LoadSnapshot(dir, {}, &loaded);
   EXPECT_FALSE(st.ok());
-  EXPECT_EQ(st.code, IoCode::kCorrupt) << st.ToString();
+  EXPECT_EQ(st.code, StatusCode::kDataLoss) << st.ToString();
 }
 
 TEST(SnapshotTest, BadMagicAndMissingDirAreTypedErrors) {
   TempDir tmp;
   Table loaded;
-  IoStatus st = Table::LoadSnapshot(tmp.path() + "/nope", {}, &loaded);
+  Status st = Table::LoadSnapshot(tmp.path() + "/nope", {}, &loaded);
   EXPECT_FALSE(st.ok());
-  EXPECT_EQ(st.code, IoCode::kIoError);
+  EXPECT_EQ(st.code, StatusCode::kUnavailable);
 
   // A checksum-valid manifest whose magic is wrong: the CRC gate passes,
-  // the magic gate must answer kBadMagic.
+  // the magic gate must answer kInvalidArgument and say so.
   const std::string dir = tmp.path() + "/junk";
   ASSERT_EQ(std::system(("mkdir -p '" + dir + "'").c_str()), 0);
   std::string body(40, '\x7E');  // != "MCSS"
@@ -253,7 +253,8 @@ TEST(SnapshotTest, BadMagicAndMissingDirAreTypedErrors) {
   WriteFile(dir + "/" + kSnapshotManifestFile, body);
   st = Table::LoadSnapshot(dir, {}, &loaded);
   EXPECT_FALSE(st.ok());
-  EXPECT_EQ(st.code, IoCode::kBadMagic);
+  EXPECT_EQ(st.code, StatusCode::kInvalidArgument);
+  EXPECT_NE(st.detail.find("bad magic"), std::string::npos) << st.detail;
 }
 
 TEST(SnapshotTest, ListSnapshotTablesSortedAndExists) {
@@ -285,7 +286,7 @@ TEST(CsvIngestTest, InfersTypesAndEncodes) {
             "3,10.00,chicago\n");
   Table table;
   CsvIngestStats stats;
-  const IoStatus st = IngestCsv(csv, {}, &table, &stats);
+  const Status st = IngestCsv(csv, {}, &table, &stats);
   ASSERT_TRUE(st.ok()) << st.ToString();
   EXPECT_EQ(stats.rows, 4u);
   EXPECT_EQ(stats.columns, 3);
@@ -312,9 +313,9 @@ TEST(CsvIngestTest, RaggedRowIsTypedError) {
   const std::string csv = tmp.path() + "/bad.csv";
   WriteFile(csv, "a,b\n1,2\n3\n");
   Table table;
-  const IoStatus st = IngestCsv(csv, {}, &table);
+  const Status st = IngestCsv(csv, {}, &table);
   EXPECT_FALSE(st.ok());
-  EXPECT_EQ(st.code, IoCode::kBadFormat);
+  EXPECT_EQ(st.code, StatusCode::kInvalidArgument);
 }
 
 TEST(CsvIngestTest, ExplicitSchemaOverridesInference) {
@@ -324,7 +325,7 @@ TEST(CsvIngestTest, ExplicitSchemaOverridesInference) {
   CsvIngestOptions options;
   options.schema = {{"key", CsvType::kString}, {"val", CsvType::kInt}};
   Table table;
-  const IoStatus st = IngestCsv(csv, options, &table);
+  const Status st = IngestCsv(csv, options, &table);
   ASSERT_TRUE(st.ok()) << st.ToString();
   EXPECT_TRUE(table.HasColumn("key"));
   EXPECT_TRUE(table.HasDictionary("key"));  // forced string

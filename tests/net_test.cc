@@ -227,6 +227,25 @@ TEST(ProtocolTest, ErrorAndHelloRoundTrip) {
   EXPECT_EQ(reply_back.default_table, "demo");
 }
 
+TEST(ProtocolTest, TableOpReplyCarriesStatusCode) {
+  TableOpReply reply;
+  reply.status_code = static_cast<uint8_t>(StatusCode::kDataLoss);
+  reply.detail = "section 2 checksum mismatch";
+  reply.seconds = 0.25;
+  reply.rows = 42;
+  TableOpReply back;
+  ASSERT_TRUE(DecodeTableOpReply(EncodeTableOpReply(reply), &back));
+  EXPECT_FALSE(back.ok);
+  EXPECT_EQ(back.status_code, reply.status_code);
+  EXPECT_EQ(back.detail, reply.detail);
+  EXPECT_EQ(back.seconds, 0.25);
+  EXPECT_EQ(back.rows, 42u);
+
+  // A byte past the last StatusCode is a malformed reply.
+  reply.status_code = static_cast<uint8_t>(StatusCode::kInternal) + 1;
+  EXPECT_FALSE(DecodeTableOpReply(EncodeTableOpReply(reply), &back));
+}
+
 TEST(ProtocolTest, SchemaRoundTrip) {
   const Table table = TestTable(128);
   SchemaReply reply;
@@ -715,7 +734,7 @@ TEST_F(NetRobustnessTest, WireCancelAbortsRunningSortBounded) {
     EXPECT_EQ(result.result_oids.size(), kBigRows);
   } else {
     EXPECT_EQ(result.error, ErrorCode::kCancelled);
-    EXPECT_EQ(result.status.code, ExecCode::kCancelled);
+    EXPECT_EQ(result.ToStatus().code, StatusCode::kCancelled);
     // Unwind latency is bounded by morsel granularity, not sort size.
     EXPECT_LT(latency, 10.0);
   }
@@ -742,8 +761,36 @@ TEST_F(NetRobustnessTest, QueryDeadlineExpiresMidSort) {
     EXPECT_EQ(result.result_oids.size(), kBigRows);  // ok on a fast machine
   } else {
     EXPECT_EQ(result.error, ErrorCode::kDeadlineExceeded);
-    EXPECT_EQ(result.status.code, ExecCode::kDeadlineExceeded);
+    EXPECT_EQ(result.ToStatus().code, StatusCode::kDeadlineExceeded);
   }
+}
+
+TEST_F(NetRobustnessTest, SpillIoFailureReachesTheWireAsIoError) {
+  // Over budget with massaging off, the query must spill; the spill
+  // directory cannot be created, and the ERROR frame must say so instead
+  // of reporting a scratch shortage.
+  Table table = TestTable(10'000);
+  ServiceOptions service_options;
+  service_options.use_massage = false;
+  service_options.spill.dir = "/dev/null/spill";
+  QueryService service(service_options);
+  service.RegisterTable("t", table);
+  ServerOptions options;
+  options.scratch_budget_bytes = 64 << 10;
+  auto server = StartServer(&service, options);
+
+  ClientOptions client_options;
+  client_options.port = server->port();
+  McsortClient client(client_options);
+  ASSERT_TRUE(client.Connect());
+  const RemoteResult result = client.Query(SlowSpec());
+  ASSERT_TRUE(result.transport_ok) << result.error_detail;
+  EXPECT_EQ(result.error, ErrorCode::kIoError)
+      << ErrorCodeName(result.error) << ": " << result.error_detail;
+  EXPECT_NE(result.error_detail.find("spill directory"), std::string::npos)
+      << result.error_detail;
+  EXPECT_EQ(service.metrics().counter("net.query_error.io_error")->value(),
+            1u);
 }
 
 TEST_F(NetRobustnessTest, ConnectionCapRejectsWithTypedBusy) {

@@ -345,7 +345,7 @@ TEST(AdmissionControllerTest, CancelledWaiterAbandonsWithoutBlockingQueue) {
   AdmissionController::Ticket abandoned =
       controller.Admit(10, cancelled_ctx);
   EXPECT_FALSE(abandoned.admitted());
-  EXPECT_EQ(abandoned.status().code, ExecCode::kCancelled);
+  EXPECT_EQ(abandoned.status().code, StatusCode::kCancelled);
 
   // The queue behind the abandoned waiter still drains.
   std::atomic<bool> late_admitted{false};
@@ -371,7 +371,7 @@ TEST(AdmissionControllerTest, DeadlineExpiredWaiterAbandons) {
   ctx.WithDeadlineAfter(0.01);
   AdmissionController::Ticket ticket = controller.Admit(10, ctx);
   EXPECT_FALSE(ticket.admitted());
-  EXPECT_EQ(ticket.status().code, ExecCode::kDeadlineExceeded);
+  EXPECT_EQ(ticket.status().code, StatusCode::kDeadlineExceeded);
 }
 
 TEST(QueryServiceTest, TicketReleasedWhenExecutionFails) {
@@ -393,7 +393,7 @@ TEST(QueryServiceTest, TicketReleasedWhenExecutionFails) {
   for (int i = 0; i < 3; ++i) {  // > max_inflight: leaks would deadlock
     const ExecResult failed = session->Execute(spec, cancelled_ctx);
     EXPECT_FALSE(failed.ok());
-    EXPECT_EQ(failed.status.code, ExecCode::kCancelled);
+    EXPECT_EQ(failed.status.code, StatusCode::kCancelled);
   }
   EXPECT_EQ(service.admission().GetStats().inflight, 0);
 

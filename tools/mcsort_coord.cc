@@ -1,8 +1,9 @@
 // mcsort_coord — command-line front-end of McsortCoordinator: registers
 // shard endpoints, runs a distributed query, prints the per-shard and
-// merge breakdown, and (with --verify) diffs the merged answer against a
-// single-node server holding the unsharded table, exiting nonzero on any
-// mismatch.
+// merge breakdown (`dist status=<StatusCodeName>` names the fan-out's
+// outcome), and (with --verify) diffs the merged answer against a
+// single-node server holding the unsharded table, exiting nonzero on a
+// failed fan-out or any mismatch.
 //
 //   mcsort_coord [options]
 //
@@ -19,7 +20,8 @@
 //   --metrics             print the coordinator's dist.* metrics dump
 //
 // scripts/cluster_smoke.sh drives this binary in CI, including the
-// induced-shard-failure / replica-failover pass.
+// induced-shard-failure / replica-failover pass and a fan-out whose only
+// shard-0 endpoint is dead.
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -165,13 +167,13 @@ int main(int argc, char** argv) {
   }
   std::printf("dist status=%s fanout=%.3f s merge=%.3f s emitted=%llu "
               "full_compares=%llu\n",
-              dist::DistStatusName(result.status), result.fanout_seconds,
+              result.status.name(), result.fanout_seconds,
               result.merge_seconds,
               static_cast<unsigned long long>(result.merge_emitted),
               static_cast<unsigned long long>(result.merge_full_compares));
   if (!result.ok()) {
     std::fprintf(stderr, "mcsort_coord: %s\n",
-                 result.ToStatus().ToString().c_str());
+                 result.status.ToString().c_str());
     return 1;
   }
   if (query == "group") {

@@ -141,7 +141,7 @@ int main(int argc, char** argv) {
 
   Table table;
   CsvIngestStats stats;
-  IoStatus st = IngestCsv(csv_path, options, &table, &stats);
+  Status st = IngestCsv(csv_path, options, &table, &stats);
   if (!st.ok()) {
     std::fprintf(stderr, "mcsort_ingest: ingest failed: %s\n",
                  st.ToString().c_str());

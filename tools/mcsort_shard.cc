@@ -92,7 +92,7 @@ int main(int argc, char** argv) {
 
   Table table;
   if (!snapshot_dir.empty()) {
-    const IoStatus st =
+    const Status st =
         LoadTableSnapshot(snapshot_dir, SnapshotLoadOptions{}, &table);
     if (!st.ok()) {
       std::fprintf(stderr, "mcsort_shard: load %s: %s\n",
@@ -111,7 +111,7 @@ int main(int argc, char** argv) {
 
   if (write_full) {
     const std::string full_dir = out_root + "/full/" + table_name;
-    const IoStatus st = SaveTableSnapshot(table, full_dir);
+    const Status st = SaveTableSnapshot(table, full_dir);
     if (!st.ok()) {
       std::fprintf(stderr, "mcsort_shard: save %s: %s\n", full_dir.c_str(),
                    st.ToString().c_str());
