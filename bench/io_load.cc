@@ -66,15 +66,14 @@ void RunColdStart(const std::string& scratch, int reps) {
               it->first.c_str(), options.scale, table.row_count(),
               table.column_names().size());
 
-  // A snapshot restores statistics and the ByteSlice/BitWeaving scan
-  // layouts ready-made, so the fair snapshotless baseline is generation
-  // PLUS materializing those (a regenerated table builds them lazily on
-  // first use; the generator alone is not query-equivalent).
+  // A snapshot restores statistics and the ByteSlice scan layout
+  // ready-made, so the fair snapshotless baseline is generation PLUS
+  // materializing those (a regenerated table builds them lazily on first
+  // use; the generator alone is not query-equivalent).
   Timer mat_timer;
   for (const std::string& name : table.column_names()) {
     (void)table.stats(name);
     (void)table.byteslice(name);
-    (void)table.bitweaving(name);
   }
   const double mat_seconds = mat_timer.Seconds();
   const double baseline_seconds = gen_seconds + mat_seconds;

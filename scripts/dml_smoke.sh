@@ -141,7 +141,7 @@ if [[ "${digest_before}" != "${digest_after}" ]]; then
 fi
 
 echo "=== phase 2: SIGKILL aimed at an active compaction ==="
-# 50 ms sweeps + threshold 1 + a hammering writer = the kill lands inside
+# 100 ms sweeps + threshold 1 + a hammering writer = the kill lands inside
 # or between compactions with high probability.
 dml churn 2 202 &
 writer_pid=$!

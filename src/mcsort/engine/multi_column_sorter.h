@@ -101,6 +101,7 @@ class MultiColumnSorter {
   MultiColumnSortResult SortColumnAtATime(
       const std::vector<MassageInput>& inputs);
 
+ private:
   // Sorts every non-singleton segment of `keys` in place, permuting the
   // matching `oids` range, with round kernel `kernel` (subject to the
   // override resolution described above; the resolved kernel and any OVC
@@ -109,16 +110,14 @@ class MultiColumnSorter {
   // sorter of the kernel (merge, OVC, and counting all have one; radix
   // keeps whole segments), mid-size ones are claimed dynamically as
   // morsels of segments, and tiny (insertion-sort-sized) ones ride in
-  // large morsels to amortize dispatch. Public so the pipeline interpreter
-  // shares one executor with the bulk path. A stoppable `ctx` stops
-  // between segments / morsels / merge chunks; the caller re-checks ctx
-  // and discards the round on a stop.
+  // large morsels to amortize dispatch. A stoppable `ctx` stops between
+  // segments / morsels / merge chunks; the caller re-checks ctx and
+  // discards the round on a stop.
   void SortSegments(int bank, SortKernel kernel, EncodedColumn* keys,
                     Oid* oids, const Segments& segments,
                     RoundProfile* profile,
                     const ExecContext* ctx = nullptr);
 
- private:
   ThreadPool* pool_;
   SortKernel kernel_;
   // MCSORT_KERNELS named exactly one kernel: force it everywhere.

@@ -1,12 +1,6 @@
 #include "mcsort/engine/pipeline.h"
 
-#include <numeric>
 #include <utility>
-
-#include "mcsort/common/logging.h"
-#include "mcsort/massage/massage.h"
-#include "mcsort/scan/group_scan.h"
-#include "mcsort/scan/lookup.h"
 
 namespace mcsort {
 namespace {
@@ -70,24 +64,6 @@ std::vector<Instruction> RewriteFastMcs(const std::vector<Instruction>& input,
   return PipelineForPlan(found.plan);
 }
 
-std::vector<Instruction> RewriteFastMcsWithPlan(
-    const std::vector<Instruction>& input, const MassagePlan& plan) {
-  if (input.empty() || input.front().op != OpCode::kCodeMassage) {
-    return input;
-  }
-  size_t sort_rounds = 0;
-  for (const Instruction& instruction : input) {
-    if (instruction.op == OpCode::kSimdSort) ++sort_rounds;
-  }
-  if (sort_rounds < 2) return input;
-  if (!plan.IsValid() ||
-      plan.total_width() != input.front().plan.total_width() ||
-      plan == input.front().plan) {
-    return input;
-  }
-  return PipelineForPlan(plan);
-}
-
 std::string PipelineToString(const std::vector<Instruction>& pipeline) {
   std::string out;
   for (const Instruction& instruction : pipeline) {
@@ -119,88 +95,6 @@ std::string PipelineToString(const std::vector<Instruction>& pipeline) {
     }
   }
   return out;
-}
-
-MultiColumnSortResult ExecutePipeline(
-    const std::vector<Instruction>& pipeline,
-    const std::vector<MassageInput>& inputs, ThreadPool* pool,
-    const ExecContext& ctx) {
-  MCSORT_CHECK(!pipeline.empty());
-  MCSORT_CHECK(pipeline.front().op == OpCode::kCodeMassage);
-  MCSORT_CHECK(!inputs.empty());
-  const size_t n = inputs[0].column->size();
-
-  MultiColumnSortResult result;
-  result.oids.resize(n);
-  std::iota(result.oids.begin(), result.oids.end(), 0);
-  if (n == 0) {
-    result.groups.bounds = {0};
-    return result;
-  }
-
-  std::vector<EncodedColumn> round_keys;
-  EncodedColumn current;  // the looked-up round key the next sort consumes
-  int current_round = -1;
-  Segments segments = Segments::Whole(n);
-  // One executor shared by all kSimdSort instructions: the interpreter
-  // sorts segments through the same morsel-driven policy as the bulk path.
-  MultiColumnSorter sorter(pool);
-
-  const auto key_for = [&](int round) -> EncodedColumn* {
-    if (current_round == round) return &current;
-    return &round_keys[static_cast<size_t>(round)];
-  };
-
-  const bool stoppable = ctx.stoppable();
-  for (const Instruction& instruction : pipeline) {
-    // Instruction boundaries are this interpreter's round boundaries:
-    // fault-injector polls and stop checks happen here, mirroring
-    // MultiColumnSorter::Sort.
-    if (stoppable) {
-      result.status = ctx.CheckRound();
-      if (!result.status.ok()) return result;
-    }
-    switch (instruction.op) {
-      case OpCode::kCodeMassage:
-        round_keys = ApplyMassage(inputs, instruction.plan, pool, &ctx);
-        result.massage_seconds = 0;
-        result.rounds.assign(instruction.plan.num_rounds(), RoundProfile{});
-        break;
-      case OpCode::kLookup: {
-        EncodedColumn gathered;
-        result.rounds[static_cast<size_t>(instruction.round)].lookup_morsels =
-            GatherColumn(round_keys[static_cast<size_t>(instruction.round)],
-                         result.oids.data(), n, &gathered, pool, &ctx);
-        current = std::move(gathered);
-        current_round = instruction.round;
-        break;
-      }
-      case OpCode::kSimdSort: {
-        sorter.SortSegments(
-            instruction.bank, instruction.kernel, key_for(instruction.round),
-            result.oids.data(), segments,
-            &result.rounds[static_cast<size_t>(instruction.round)],
-            stoppable ? &ctx : nullptr);
-        break;
-      }
-      case OpCode::kScanGroups: {
-        RoundProfile& profile =
-            result.rounds[static_cast<size_t>(instruction.round)];
-        Segments refined;
-        profile.scan_chunks = FindGroups(*key_for(instruction.round), segments,
-                                         &refined, pool, &ctx);
-        segments = std::move(refined);
-        profile.num_groups = segments.count();
-        break;
-      }
-    }
-  }
-  if (stoppable && ctx.StopRequested()) {
-    result.status = ctx.StopStatus();
-    return result;
-  }
-  result.groups = std::move(segments);
-  return result;
 }
 
 }  // namespace mcsort

@@ -13,9 +13,10 @@
 //     b' := Lookup(b, oid)                    (oid, g) := SIMD-Sort(s[0], 32, nil)
 //     (oid, g) := SIMD-Sort(b', 16, g)
 //
-// PipelineExecutor interprets either form and produces the same result as
-// MultiColumnSorter (tested property), so the rewrite's correctness is
-// checkable instruction-by-instruction.
+// The module rewrites and renders; it does not execute. Every pipeline it
+// emits is the instruction chain of its leading Code-Massage plan, so
+// MultiColumnSorter::Sort(inputs, pipeline[0].plan) runs it: the sorter is
+// the one executor of massage plans.
 #ifndef MCSORT_ENGINE_PIPELINE_H_
 #define MCSORT_ENGINE_PIPELINE_H_
 
@@ -23,7 +24,6 @@
 #include <vector>
 
 #include "mcsort/cost/cost_model.h"
-#include "mcsort/engine/multi_column_sorter.h"
 #include "mcsort/massage/plan.h"
 #include "mcsort/plan/roga.h"
 
@@ -43,7 +43,7 @@ struct Instruction {
   int round = 0;      // which round key the instruction touches
   int bank = 0;       // kSimdSort: SIMD bank
   // kSimdSort: cost-chosen round kernel (plan annotation carried through
-  // the rewrite so the interpreter dispatches like MultiColumnSorter).
+  // the rewrite and shown by PipelineToString).
   SortKernel kernel = SortKernel::kSimdMerge;
   MassagePlan plan;   // kCodeMassage: the massage plan (identity for P0)
 };
@@ -63,29 +63,10 @@ std::vector<Instruction> RewriteFastMcs(const std::vector<Instruction>& input,
                                         const SortInstanceStats& stats,
                                         const SearchOptions& options = {});
 
-// Fast-MCS rewrite with an externally chosen plan (e.g. a service-layer
-// plan-cache hit) instead of invoking ROGA. Returns the input unchanged if
-// no multi-column sorting chain is found, the plan does not cover the
-// chain's width, or the plan is the original one.
-std::vector<Instruction> RewriteFastMcsWithPlan(
-    const std::vector<Instruction>& input, const MassagePlan& plan);
-
 // MAL-like rendering, e.g.
 //   s := Code-Massage(c0, c1, {R1: 27/[32]})
 //   (oid, groups) := SIMD-Sort(s0, 32, nil)
 std::string PipelineToString(const std::vector<Instruction>& pipeline);
-
-// Interprets a pipeline against the inputs. The pipeline's massage plan
-// widths must cover the inputs' total width. A non-null `pool` runs every
-// operator (massage, lookup, segment sorts, group scan) through the
-// morsel-driven parallel executor, sharing MultiColumnSorter's policy.
-// A stoppable `ctx` is checked at every instruction boundary (and inside
-// each operator's morsels); on a stop the interpreter unwinds with the
-// typed status in the result and partial oids/groups to be discarded.
-MultiColumnSortResult ExecutePipeline(
-    const std::vector<Instruction>& pipeline,
-    const std::vector<MassageInput>& inputs, ThreadPool* pool = nullptr,
-    const ExecContext& ctx = ExecContext::Default());
 
 }  // namespace mcsort
 

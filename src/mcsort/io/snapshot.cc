@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -205,8 +206,15 @@ Status DecodeManifest(const std::string& bytes, const std::string& path,
   const auto bad = [&path](const std::string& why) {
     return Status::InvalidArgument(why + ": " + path);
   };
+  // Oids are 32-bit; a larger count would also overflow the section-size
+  // products the loader checks against.
+  if (manifest->row_count > UINT32_MAX) {
+    return bad("implausible row count " +
+               std::to_string(manifest->row_count));
+  }
   if (ncols > 4096) return bad("implausible column count");
   manifest->columns.resize(ncols);
+  std::unordered_set<std::string> names;
   for (auto& col : manifest->columns) {
     col.name = r.Str();
     col.width = r.U8();
@@ -229,6 +237,9 @@ Status DecodeManifest(const std::string& bytes, const std::string& path,
                              static_cast<PhysicalType>(col.type)) ||
         col.file.empty() || col.file.find('/') != std::string::npos) {
       return bad("bad column metadata for '" + col.name + "'");
+    }
+    if (!names.insert(col.name).second) {
+      return bad("duplicate column name '" + col.name + "'");
     }
   }
   if (!r.AtEnd()) return bad("trailing bytes in manifest");
@@ -308,19 +319,6 @@ std::string BuildByteSliceSection(const ByteSliceColumn& bs) {
   return out;
 }
 
-// Assembles the BitWeaving section: w bit planes, same stride discipline.
-std::string BuildBitWeavingSection(const BitWeavingColumn& bw) {
-  const size_t plane_len = bw.words_per_plane() * sizeof(uint64_t);
-  const size_t stride = RoundUp(plane_len, kSimdAlignment);
-  std::string out;
-  out.reserve(static_cast<size_t>(bw.width()) * stride);
-  for (int j = 0; j < bw.width(); ++j) {
-    out.append(reinterpret_cast<const char*>(bw.plane(j)), plane_len);
-    out.append(stride - plane_len, '\0');
-  }
-  return out;
-}
-
 Status SaveColumn(const Table& table, const std::string& name,
                   uint32_t index, const std::string& dir,
                   ColumnMeta* meta) {
@@ -354,8 +352,8 @@ Status SaveColumn(const Table& table, const std::string& name,
       if (!st.ok()) return st;
     }
 
-    // stats()/byteslice()/bitweaving() build lazily if this table never
-    // computed them — the snapshot always carries warm caches.
+    // stats()/byteslice() build lazily if this table never computed them —
+    // the snapshot always carries warm caches.
     const std::string stats_bytes =
         EncodeStatsSection(table.stats(name).ToImage());
     st = writer.Append(SnapshotSection::kStats, stats_bytes.data(),
@@ -365,12 +363,6 @@ Status SaveColumn(const Table& table, const std::string& name,
     const std::string bs_bytes = BuildByteSliceSection(table.byteslice(name));
     st = writer.Append(SnapshotSection::kByteSlice, bs_bytes.data(),
                        bs_bytes.size(), meta);
-    if (!st.ok()) return st;
-
-    const std::string bw_bytes =
-        BuildBitWeavingSection(table.bitweaving(name));
-    st = writer.Append(SnapshotSection::kBitWeaving, bw_bytes.data(),
-                       bw_bytes.size(), meta);
     if (!st.ok()) return st;
 
     if (std::fflush(out.f) != 0) return ErrnoStatus("flush", tmp);
@@ -395,8 +387,11 @@ Status CheckSegmentHeader(const uint8_t* data, size_t size,
     return Status::InvalidArgument("bad magic, not a snapshot segment: " +
                                    path);
   }
-  if (r.U32() != kSnapshotVersion) {
-    return Status::FailedPrecondition("segment version mismatch: " + path);
+  const uint32_t version = r.U32();
+  if (version != kSnapshotVersion) {
+    return Status::FailedPrecondition(
+        "segment version mismatch, version " + std::to_string(version) +
+        " (want " + std::to_string(kSnapshotVersion) + "): " + path);
   }
   return Status::Ok();
 }
@@ -434,8 +429,8 @@ Status VerifyCrc(const uint8_t* data, const SectionRecord& rec,
 }
 
 // Loads one column from its segment file, dispatching on load mode. On
-// kMmap the MmapFile ends up pinned to `table` and codes / slices / planes
-// are views; on kBuffered everything is copied and the file is closed.
+// kMmap the MmapFile ends up pinned to `table` and codes and slices are
+// views; on kBuffered everything is copied and the file is closed.
 Status LoadColumn(const ColumnMeta& meta, uint64_t row_count,
                   const std::string& dir,
                   const SnapshotLoadOptions& options, Table* table) {
@@ -552,37 +547,11 @@ Status LoadColumn(const ColumnMeta& meta, uint64_t row_count,
     }
   }
 
-  // kBitWeaving → BitWeavingColumn cache (views under mmap).
-  const SectionRecord* bw_rec = nullptr;
-  st = RequireSection(meta, SnapshotSection::kBitWeaving, path, &bw_rec);
-  if (!st.ok()) return st;
-  const size_t words_per_plane = RoundUp(row_count, 64) / 64;
-  const size_t plane_len = words_per_plane * sizeof(uint64_t);
-  const size_t plane_stride = RoundUp(plane_len, kSimdAlignment);
-  if (bw_rec->length != static_cast<uint64_t>(width) * plane_stride ||
-      bw_rec->offset % kSnapshotPageBytes != 0) {
-    return bad("bitweaving section size/alignment mismatch");
-  }
-  std::vector<AlignedBuffer<uint64_t>> planes(static_cast<size_t>(width));
-  for (int j = 0; j < width; ++j) {
-    const uint8_t* src = base + bw_rec->offset + j * plane_stride;
-    if (use_mmap) {
-      planes[j].ResetView(
-          reinterpret_cast<uint64_t*>(const_cast<uint8_t*>(src)),
-          words_per_plane);
-    } else {
-      planes[j].Reset(words_per_plane);
-      std::memcpy(planes[j].data(), src, plane_len);
-    }
-  }
-
   table->AddColumnParts(meta.name, std::move(column), std::move(dict),
                         meta.domain_base);
   table->SetStats(meta.name, ColumnStats::FromImage(image));
   table->SetByteSlice(meta.name, ByteSliceColumn::FromParts(
                                      width, row_count, std::move(slices)));
-  table->SetBitWeaving(meta.name, BitWeavingColumn::FromParts(
-                                      width, row_count, std::move(planes)));
   if (use_mmap) table->PinResource(std::move(mapping));
   return Status::Ok();
 }

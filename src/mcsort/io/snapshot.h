@@ -9,11 +9,11 @@
 // written with the net/wire codec and protected by a trailing CRC32C. Each
 // column file starts with a small header and then carries page-aligned
 // sections — encoded codes, order-preserving dictionary, cached statistics,
-// and the ByteSlice / BitWeaving auxiliary layouts — each individually
-// CRC32C-checked via {offset, length, crc} records in the manifest.
+// and the ByteSlice scan layout — each individually CRC32C-checked via
+// {offset, length, crc} records in the manifest.
 //
 // Page alignment of the codes section (and 64-byte alignment of every
-// slice/plane inside the auxiliary sections) is what makes the zero-copy
+// slice inside the ByteSlice section) is what makes the zero-copy
 // load path possible: LoadSnapshot(kMmap) maps each segment file PROT_READ
 // and hands the engine Column views straight into the mapping, so a
 // multi-GB table is query-ready in milliseconds and pages in lazily.
@@ -33,7 +33,7 @@ class Table;
 // Format constants, exposed for tests and tooling.
 inline constexpr uint32_t kSnapshotManifestMagic = 0x5353434D;  // "MCSS"
 inline constexpr uint32_t kSnapshotSegmentMagic = 0x4353434D;   // "MCSC"
-inline constexpr uint32_t kSnapshotVersion = 1;
+inline constexpr uint32_t kSnapshotVersion = 2;
 inline constexpr size_t kSnapshotPageBytes = 4096;
 inline constexpr char kSnapshotManifestFile[] = "MANIFEST.mcs";
 
@@ -42,7 +42,6 @@ enum class SnapshotSection : uint8_t {
   kDictionary = 2,  // sorted string dictionary, u32-length-prefixed entries
   kStats = 3,       // ColumnStatsImage
   kByteSlice = 4,   // B slices, each 64-byte aligned within the section
-  kBitWeaving = 5,  // w bit planes, each 64-byte aligned within the section
 };
 
 // Free-function form of Table::SaveSnapshot / Table::LoadSnapshot (the

@@ -27,20 +27,4 @@ BitWeavingColumn BitWeavingColumn::Build(const EncodedColumn& column) {
   return bw;
 }
 
-BitWeavingColumn BitWeavingColumn::FromParts(
-    int width, size_t size, std::vector<AlignedBuffer<uint64_t>> planes) {
-  MCSORT_CHECK(width >= 1 && width <= 64);
-  MCSORT_CHECK(planes.size() == static_cast<size_t>(width));
-  const size_t words = RoundUp(size, 64) / 64;
-  for (const auto& plane : planes) {
-    MCSORT_CHECK(plane.size() >= words);
-  }
-  BitWeavingColumn bw;
-  bw.width_ = width;
-  bw.size_ = size;
-  bw.words_per_plane_ = words;
-  bw.planes_ = std::move(planes);
-  return bw;
-}
-
 }  // namespace mcsort

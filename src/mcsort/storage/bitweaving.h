@@ -32,11 +32,6 @@ class BitWeavingColumn {
 
   static BitWeavingColumn Build(const EncodedColumn& column);
 
-  // Adopts pre-built planes (the snapshot load path; buffers may be mmap
-  // views). Each plane must hold at least RoundUp(size, 64) / 64 words.
-  static BitWeavingColumn FromParts(int width, size_t size,
-                                    std::vector<AlignedBuffer<uint64_t>> planes);
-
   int width() const { return width_; }
   size_t size() const { return size_; }
   size_t words_per_plane() const { return words_per_plane_; }

@@ -119,16 +119,6 @@ const ByteSliceColumn& Table::byteslice(const std::string& name) const {
   return *entry.byteslice;
 }
 
-const BitWeavingColumn& Table::bitweaving(const std::string& name) const {
-  const Entry& entry = Find(name);
-  std::lock_guard<std::mutex> lock(*lazy_mu_);
-  if (entry.bitweaving == nullptr) {
-    entry.bitweaving = std::make_unique<BitWeavingColumn>(
-        BitWeavingColumn::Build(entry.column));
-  }
-  return *entry.bitweaving;
-}
-
 Table& Table::AddColumnParts(const std::string& name, EncodedColumn column,
                              std::unique_ptr<StringDictionary> dict,
                              int64_t domain_base) {
@@ -148,13 +138,6 @@ void Table::SetByteSlice(const std::string& name, ByteSliceColumn byteslice) {
   std::lock_guard<std::mutex> lock(*lazy_mu_);
   Find(name).byteslice =
       std::make_unique<ByteSliceColumn>(std::move(byteslice));
-}
-
-void Table::SetBitWeaving(const std::string& name,
-                          BitWeavingColumn bitweaving) {
-  std::lock_guard<std::mutex> lock(*lazy_mu_);
-  Find(name).bitweaving =
-      std::make_unique<BitWeavingColumn>(std::move(bitweaving));
 }
 
 void Table::SetLineage(std::shared_ptr<const TableLineage> lineage,
@@ -196,10 +179,6 @@ size_t Table::MemoryBytes() const {
     if (entry.byteslice != nullptr) {
       total += static_cast<size_t>(entry.byteslice->num_slices()) *
                ByteSliceColumn::slice_bytes(entry.byteslice->size());
-    }
-    if (entry.bitweaving != nullptr) {
-      total += static_cast<size_t>(entry.bitweaving->width()) *
-               entry.bitweaving->words_per_plane() * sizeof(uint64_t);
     }
   }
   return total;

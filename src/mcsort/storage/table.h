@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "mcsort/io/io_status.h"
-#include "mcsort/storage/bitweaving.h"
 #include "mcsort/storage/byteslice.h"
 #include "mcsort/storage/column.h"
 #include "mcsort/storage/dictionary.h"
@@ -64,7 +63,7 @@ class Table {
   // native value = base + code.
   int64_t domain_base(const std::string& name) const;
 
-  // Statistics / ByteSlice / BitWeaving layouts, built lazily on first use
+  // Statistics / ByteSlice layouts, built lazily on first use
   // and cached. Safe to call from concurrent query sessions: the first
   // builder wins under a table-wide mutex and everyone reads the immutable
   // result. A column marked by SetLineage derives its statistics and
@@ -73,7 +72,6 @@ class Table {
   // same as a build from the codes.
   const ColumnStats& stats(const std::string& name) const;
   const ByteSliceColumn& byteslice(const std::string& name) const;
-  const BitWeavingColumn& bitweaving(const std::string& name) const;
 
   // --- Snapshot persistence (implemented in io/snapshot.cc) -------------
   // Writes the table as a versioned on-disk snapshot directory; loads one
@@ -91,7 +89,6 @@ class Table {
                         int64_t domain_base);
   void SetStats(const std::string& name, ColumnStats stats);
   void SetByteSlice(const std::string& name, ByteSliceColumn byteslice);
-  void SetBitWeaving(const std::string& name, BitWeavingColumn bitweaving);
 
   // Merge-at-scan plumbing: records where this table's rows come from and
   // marks the `columns` whose leading rows hold the lineage base's codes
@@ -118,7 +115,6 @@ class Table {
     int64_t domain_base = 0;
     mutable std::unique_ptr<ColumnStats> stats;
     mutable std::unique_ptr<ByteSliceColumn> byteslice;
-    mutable std::unique_ptr<BitWeavingColumn> bitweaving;
     bool derives_layouts = false;  // see SetLineage
   };
 

@@ -21,7 +21,6 @@
 #include "mcsort/common/thread_pool.h"
 #include "mcsort/common/timer.h"
 #include "mcsort/cost/cost_model.h"
-#include "mcsort/engine/pipeline.h"
 #include "mcsort/engine/query.h"
 #include "mcsort/plan/roga.h"
 #include "mcsort/service/query_service.h"
@@ -263,27 +262,6 @@ TEST(CancellationTest, RogaSearchReturnsBestSoFarOnStop) {
   const SearchResult result = RogaSearch(model, stats, options);
   EXPECT_TRUE(result.timed_out);
   EXPECT_TRUE(result.plan.IsValid());
-}
-
-TEST(CancellationTest, PipelineInterpreterStopsAtInstructionBoundary) {
-  const size_t n = 100'000;
-  Rng rng(8);
-  EncodedColumn k1(12, n), k2(14, n);
-  for (size_t r = 0; r < n; ++r) {
-    k1.Set(r, rng.NextBounded(1u << 12));
-    k2.Set(r, rng.NextBounded(1u << 14));
-  }
-  std::vector<MassageInput> inputs = {{&k1, SortOrder::kAscending},
-                                      {&k2, SortOrder::kAscending}};
-  const std::vector<Instruction> pipeline = ColumnAtATimePipeline({12, 14});
-
-  CancellationSource source;
-  source.Cancel();
-  ExecContext ctx;
-  ctx.WithToken(source.token());
-  const MultiColumnSortResult result =
-      ExecutePipeline(pipeline, inputs, nullptr, ctx);
-  EXPECT_EQ(result.status.code, StatusCode::kCancelled);
 }
 
 // --------------------------------------------------------------------------

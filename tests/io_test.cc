@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -147,24 +148,40 @@ TEST(SnapshotTest, PreservesCachedStatsAndAuxLayouts) {
   // Force the lazy caches so the snapshot carries them.
   const ColumnStats& want_stats = original.stats("w24");
   (void)original.byteslice("w24");
-  (void)original.bitweaving("w12");
   const std::string dir = tmp.path() + "/t";
   ASSERT_TRUE(original.SaveSnapshot(dir).ok());
 
-  Table loaded;
-  ASSERT_TRUE(Table::LoadSnapshot(dir, {}, &loaded).ok());
-  const ColumnStats& got_stats = loaded.stats("w24");
-  EXPECT_EQ(want_stats.row_count(), got_stats.row_count());
-  EXPECT_EQ(want_stats.distinct_count(), got_stats.distinct_count());
-  EXPECT_EQ(want_stats.min_code(), got_stats.min_code());
-  EXPECT_EQ(want_stats.max_code(), got_stats.max_code());
-  EXPECT_DOUBLE_EQ(want_stats.EstimateDistinctPrefixes(8),
-                   got_stats.EstimateDistinctPrefixes(8));
-  // Aux layouts answer identically after a reload.
-  EXPECT_EQ(original.byteslice("w24").num_slices(),
-            loaded.byteslice("w24").num_slices());
-  EXPECT_EQ(original.bitweaving("w12").width(),
-            loaded.bitweaving("w12").width());
+  for (const SnapshotLoadMode mode :
+       {SnapshotLoadMode::kBuffered, SnapshotLoadMode::kMmap}) {
+    SCOPED_TRACE(mode == SnapshotLoadMode::kMmap ? "mmap" : "buffered");
+    SnapshotLoadOptions load;
+    load.mode = mode;
+    Table loaded;
+    ASSERT_TRUE(Table::LoadSnapshot(dir, load, &loaded).ok());
+    const ColumnStats& got_stats = loaded.stats("w24");
+    EXPECT_EQ(want_stats.row_count(), got_stats.row_count());
+    EXPECT_EQ(want_stats.distinct_count(), got_stats.distinct_count());
+    EXPECT_EQ(want_stats.min_code(), got_stats.min_code());
+    EXPECT_EQ(want_stats.max_code(), got_stats.max_code());
+    EXPECT_DOUBLE_EQ(want_stats.EstimateDistinctPrefixes(8),
+                     got_stats.EstimateDistinctPrefixes(8));
+    // The ByteSlice section round-trips byte for byte: every slice of every
+    // column equals a fresh build over the saved codes.
+    for (const std::string& name : loaded.column_names()) {
+      const ByteSliceColumn& bs = loaded.byteslice(name);
+      const ByteSliceColumn fresh =
+          ByteSliceColumn::Build(original.column(name));
+      ASSERT_EQ(bs.width(), fresh.width()) << name;
+      ASSERT_EQ(bs.size(), fresh.size()) << name;
+      ASSERT_EQ(bs.num_slices(), fresh.num_slices()) << name;
+      for (int j = 0; j < bs.num_slices(); ++j) {
+        EXPECT_EQ(std::memcmp(bs.slice(j), fresh.slice(j),
+                              ByteSliceColumn::slice_bytes(bs.size())),
+                  0)
+            << name << " slice " << j;
+      }
+    }
+  }
 }
 
 TEST(SnapshotTest, DictionaryRoundTripsNonAscii) {
@@ -255,6 +272,111 @@ TEST(SnapshotTest, BadMagicAndMissingDirAreTypedErrors) {
   EXPECT_FALSE(st.ok());
   EXPECT_EQ(st.code, StatusCode::kInvalidArgument);
   EXPECT_NE(st.detail.find("bad magic"), std::string::npos) << st.detail;
+}
+
+// Rewrites the saved manifest of `dir` through `edit` and re-seals it with
+// a fresh trailing CRC, so the checksum gate passes and only the gate under
+// test can reject it. Offsets are the manifest's: magic at 0, version at 4,
+// row count at 8.
+void EditManifest(const std::string& dir,
+                  const std::function<void(std::string*)>& edit) {
+  const std::string path = dir + "/" + kSnapshotManifestFile;
+  std::string bytes;
+  ASSERT_TRUE(ReadFileToString(path, &bytes).ok());
+  std::string body = bytes.substr(0, bytes.size() - 4);
+  edit(&body);
+  const uint32_t crc = net::Crc32c(body.data(), body.size());
+  body.append(reinterpret_cast<const char*>(&crc), 4);
+  WriteFile(path, body);
+}
+
+TEST(SnapshotTest, ManifestWithRepeatedColumnNameIsTypedError) {
+  // "w24" and "w12" are the same length, so renaming one to the other
+  // leaves every other manifest offset in place.
+  TempDir tmp;
+  const std::string dir = tmp.path() + "/t";
+  ASSERT_TRUE(MakeBankSpanningTable(500, 9).SaveSnapshot(dir).ok());
+  EditManifest(dir, [](std::string* body) {
+    const size_t at = body->find("w24");
+    ASSERT_NE(at, std::string::npos);
+    ASSERT_EQ(body->find("w24", at + 1), std::string::npos);
+    body->replace(at, 3, "w12");
+  });
+  Table loaded;
+  const Status st = Table::LoadSnapshot(dir, {}, &loaded);
+  EXPECT_EQ(st.code, StatusCode::kInvalidArgument) << st.ToString();
+  EXPECT_NE(st.detail.find("duplicate column name 'w12'"), std::string::npos)
+      << st.detail;
+}
+
+TEST(SnapshotTest, ManifestRowCountBeyondOidRangeIsTypedError) {
+  TempDir tmp;
+  const std::string dir = tmp.path() + "/t";
+  ASSERT_TRUE(MakeBankSpanningTable(500, 9).SaveSnapshot(dir).ok());
+  EditManifest(dir, [](std::string* body) {
+    const uint64_t rows = uint64_t{1} << 32;
+    std::memcpy(body->data() + 8, &rows, sizeof(rows));
+  });
+  for (const SnapshotLoadMode mode :
+       {SnapshotLoadMode::kBuffered, SnapshotLoadMode::kMmap}) {
+    SCOPED_TRACE(mode == SnapshotLoadMode::kMmap ? "mmap" : "buffered");
+    SnapshotLoadOptions load;
+    load.mode = mode;
+    Table loaded;
+    const Status st = Table::LoadSnapshot(dir, load, &loaded);
+    EXPECT_EQ(st.code, StatusCode::kInvalidArgument) << st.ToString();
+    EXPECT_NE(st.detail.find("row count 4294967296"), std::string::npos)
+        << st.detail;
+  }
+}
+
+TEST(SnapshotTest, ManifestVersionGateIsTypedError) {
+  TempDir tmp;
+  const std::string dir = tmp.path() + "/t";
+  ASSERT_TRUE(MakeBankSpanningTable(500, 9).SaveSnapshot(dir).ok());
+  EditManifest(dir, [](std::string* body) {
+    const uint32_t version = 1;
+    std::memcpy(body->data() + 4, &version, sizeof(version));
+  });
+  Table loaded;
+  const Status st = Table::LoadSnapshot(dir, {}, &loaded);
+  EXPECT_EQ(st.code, StatusCode::kFailedPrecondition) << st.ToString();
+  EXPECT_NE(st.detail.find("snapshot version 1 (want " +
+                           std::to_string(kSnapshotVersion) + ")"),
+            std::string::npos)
+      << st.detail;
+}
+
+TEST(SnapshotTest, SegmentVersionGateIsTypedError) {
+  // The manifest stays at the current version; only one segment header
+  // (magic at 0, version at 4, outside every CRC-checked section) is
+  // re-stamped.
+  TempDir tmp;
+  const std::string dir = tmp.path() + "/t";
+  ASSERT_TRUE(MakeBankSpanningTable(500, 9).SaveSnapshot(dir).ok());
+  {
+    std::fstream f(dir + "/1.col",
+                   std::ios::in | std::ios::out | std::ios::binary);
+    ASSERT_TRUE(f.good());
+    const uint32_t version = 1;
+    f.seekp(4);
+    f.write(reinterpret_cast<const char*>(&version), sizeof(version));
+  }
+  for (const SnapshotLoadMode mode :
+       {SnapshotLoadMode::kBuffered, SnapshotLoadMode::kMmap}) {
+    SCOPED_TRACE(mode == SnapshotLoadMode::kMmap ? "mmap" : "buffered");
+    SnapshotLoadOptions load;
+    load.mode = mode;
+    Table loaded;
+    const Status st = Table::LoadSnapshot(dir, load, &loaded);
+    EXPECT_EQ(st.code, StatusCode::kFailedPrecondition) << st.ToString();
+    EXPECT_NE(st.detail.find("segment version mismatch"), std::string::npos)
+        << st.detail;
+    EXPECT_NE(st.detail.find("version 1 (want " +
+                             std::to_string(kSnapshotVersion) + ")"),
+              std::string::npos)
+        << st.detail;
+  }
 }
 
 TEST(SnapshotTest, ListSnapshotTablesSortedAndExists) {

@@ -1,6 +1,7 @@
 // Tests for the Appendix-B-style operator pipelines and the Fast-MCS
-// rewrite: pipeline execution must match MultiColumnSorter for both the
-// column-at-a-time form and rewritten forms.
+// rewrite: pipeline shapes, the MAL rendering, and that a rewritten
+// pipeline's massage plan, run by MultiColumnSorter, sorts exactly like the
+// column-at-a-time baseline.
 #include "mcsort/engine/pipeline.h"
 
 #include <vector>
@@ -8,6 +9,7 @@
 #include "gtest/gtest.h"
 #include "mcsort/common/bits.h"
 #include "mcsort/common/random.h"
+#include "mcsort/engine/multi_column_sorter.h"
 
 namespace mcsort {
 namespace {
@@ -58,24 +60,9 @@ TEST(PipelineTest, ColumnAtATimeShapeMatchesFig2a) {
   EXPECT_EQ(pipeline[4].bank, 32);
 }
 
-TEST(PipelineTest, ExecutionMatchesMultiColumnSorter) {
-  Fixture f = MakeFixture({9, 14}, 4000, 11, 64);
-  const auto pipeline = ColumnAtATimePipeline(f.widths);
-  const auto pipe_result = ExecutePipeline(pipeline, f.inputs);
-  MultiColumnSorter sorter;
-  const auto direct_result = sorter.SortColumnAtATime(f.inputs);
-  EXPECT_EQ(pipe_result.groups.bounds, direct_result.groups.bounds);
-  for (size_t r = 0; r < pipe_result.oids.size(); ++r) {
-    for (size_t c = 0; c < f.columns.size(); ++c) {
-      ASSERT_EQ(f.columns[c].Get(pipe_result.oids[r]),
-                f.columns[c].Get(direct_result.oids[r]));
-    }
-  }
-}
-
 TEST(PipelineTest, FastMcsRewriteStitchesNarrowColumns) {
   // Ex1-like: ROGA stitches 10 + 17 bits; the rewritten pipeline must be
-  // shorter (no lookup, one sort) and produce identical results.
+  // shorter (no lookup, one sort), and its plan must sort identically.
   Fixture f = MakeFixture({10, 17}, 6000, 12, 1024);
   f.stats.n = 1 << 22;  // plan for paper-scale N
   const CostModel model(CostParams::Default());
@@ -90,43 +77,16 @@ TEST(PipelineTest, FastMcsRewriteStitchesNarrowColumns) {
   EXPECT_EQ(rewritten[1].op, OpCode::kSimdSort);
   EXPECT_EQ(rewritten[1].bank, 32);
 
-  const auto a = ExecutePipeline(original, f.inputs);
-  const auto b = ExecutePipeline(rewritten, f.inputs);
+  MultiColumnSorter sorter;
+  const auto a = sorter.SortColumnAtATime(f.inputs);
+  const auto b = sorter.Sort(f.inputs, rewritten[0].plan);
+  ASSERT_TRUE(b.status.ok());
   EXPECT_EQ(a.groups.bounds, b.groups.bounds);
   for (size_t r = 0; r < a.oids.size(); ++r) {
     for (size_t c = 0; c < f.columns.size(); ++c) {
       ASSERT_EQ(f.columns[c].Get(a.oids[r]), f.columns[c].Get(b.oids[r]));
     }
   }
-}
-
-TEST(PipelineTest, RewriteWithCachedPlanSkipsTheSearch) {
-  // The plan-cache path: a memoized plan is applied directly (no ROGA),
-  // producing the same rewrite and the same results as planning live.
-  Fixture f = MakeFixture({10, 17}, 6000, 12, 1024);
-  const auto original = ColumnAtATimePipeline(f.widths);
-  const MassagePlan cached({{27, 32}});  // Ex1's stitch-all plan
-  const auto rewritten = RewriteFastMcsWithPlan(original, cached);
-  ASSERT_EQ(rewritten.size(), 3u);  // massage + sort + scan
-  EXPECT_EQ(rewritten[0].plan, cached);
-  EXPECT_EQ(rewritten[1].op, OpCode::kSimdSort);
-  EXPECT_EQ(rewritten[1].bank, 32);
-
-  const auto a = ExecutePipeline(original, f.inputs);
-  const auto b = ExecutePipeline(rewritten, f.inputs);
-  EXPECT_EQ(a.groups.bounds, b.groups.bounds);
-  for (size_t r = 0; r < a.oids.size(); ++r) {
-    for (size_t c = 0; c < f.columns.size(); ++c) {
-      ASSERT_EQ(f.columns[c].Get(a.oids[r]), f.columns[c].Get(b.oids[r]));
-    }
-  }
-
-  // Width-incompatible and identity plans leave the pipeline unchanged.
-  const MassagePlan wrong({{40, 64}});
-  EXPECT_EQ(RewriteFastMcsWithPlan(original, wrong).size(), original.size());
-  const MassagePlan identity = MassagePlan::ColumnAtATime(f.widths);
-  EXPECT_EQ(RewriteFastMcsWithPlan(original, identity).size(),
-            original.size());
 }
 
 TEST(PipelineTest, SingleColumnSortingIsLeftIntact) {

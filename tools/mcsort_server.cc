@@ -4,7 +4,8 @@
 //
 // Environment knobs: MCSORT_HOST / MCSORT_PORT (0 = ephemeral; the bound
 // port is printed either way) / MCSORT_MAX_CONNS, plus the usual service
-// knobs (MCSORT_THREADS, MCSORT_RHO, MCSORT_N for the demo table size).
+// knobs (MCSORT_THREADS, MCSORT_RHO, the MCSORT_SPILL_* family, MCSORT_N
+// for the demo table size).
 // scripts/net_smoke.sh drives this binary in CI.
 #include <csignal>
 #include <cstdio>
@@ -36,9 +37,7 @@ int main() {
   const size_t rows = env.demo_rows;
   const Table table = MakeDemoTable(rows);
 
-  ServiceOptions service_options;
-  service_options.rho = env.rho;
-  service_options.threads = env.threads;
+  ServiceOptions service_options = ServiceOptions::FromEnv();
   if (service_options.threads <= 1) {
     service_options.threads = std::max(
         2u, std::thread::hardware_concurrency() / 2);
