@@ -94,39 +94,6 @@ void BM_SortPairs64(benchmark::State& state) {
 }
 BENCHMARK(BM_SortPairs64)->Arg(1 << 12)->Arg(1 << 16)->Arg(1 << 20);
 
-// OVC merge kernel at each bank — the calibration targets for the
-// OvcSortParams constants (cycles/row = run formation + passes * merge).
-void BM_OvcSortPairs32(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  const auto master = RandomKeys<uint32_t>(n, 32, 21);
-  std::vector<uint32_t> keys(n), oids(n);
-  SortScratch scratch;
-  for (auto _ : state) {
-    keys = master;
-    std::iota(oids.begin(), oids.end(), 0);
-    OvcSortPairs32(keys.data(), oids.data(), n, scratch);
-    benchmark::DoNotOptimize(keys.data());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(n) * state.iterations());
-}
-BENCHMARK(BM_OvcSortPairs32)->Arg(1 << 12)->Arg(1 << 16)->Arg(1 << 20);
-
-void BM_OvcSortPairs64(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  const auto master = RandomKeys<uint64_t>(n, 64, 22);
-  std::vector<uint64_t> keys(n);
-  std::vector<uint32_t> oids(n);
-  SortScratch scratch;
-  for (auto _ : state) {
-    keys = master;
-    std::iota(oids.begin(), oids.end(), 0);
-    OvcSortPairs64(keys.data(), oids.data(), n, scratch);
-    benchmark::DoNotOptimize(keys.data());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(n) * state.iterations());
-}
-BENCHMARK(BM_OvcSortPairs64)->Arg(1 << 12)->Arg(1 << 16)->Arg(1 << 20);
-
 // Counting sort across round widths — the domain (2^width) term is the
 // CountingSortParams::per_bucket calibration target; the second range arg
 // is the round width.

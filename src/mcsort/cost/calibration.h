@@ -15,8 +15,6 @@
 //     scale with N (Eqs. 6-7), so only their sum is identifiable — exactly
 //     as in the paper's joint calibration; the sum is split evenly, which
 //     leaves every prediction unchanged.
-//   * Per-bank OVC constants: the same segmented-sort design against the
-//     OVC cost shape {N_sort, rows, rows * binary_passes}.
 //   * Counting constants: width x group-count sweep; the domain walks
 //     identify the per-bucket term, widths past L2 split the cached vs
 //     missing per-row costs.
@@ -67,6 +65,9 @@ const CostParams& CalibratedParams();
 const CostModel& SharedCostModel();
 
 // Serialization of calibrated constants (simple key=value text).
+// LoadParams returns false, leaving `params` untouched, unless every key
+// SaveParams writes is present and every bank line names bank 16, 32 or
+// 64; unknown lines are skipped.
 bool SaveParams(const CostParams& params, const char* path);
 bool LoadParams(const char* path, CostParams* params);
 

@@ -9,7 +9,6 @@
 #include "mcsort/common/logging.h"
 #include "mcsort/massage/fip.h"
 #include "mcsort/sort/counting_sort.h"
-#include "mcsort/sort/simd_sort.h"
 
 namespace mcsort {
 
@@ -95,21 +94,6 @@ double CostModel::LookupCycles(uint64_t n, int width) const {
          (params_.cache_cycles * hit + params_.mem_cycles * (1.0 - hit));
 }
 
-double CostModel::SortCyclesOvc(const GroupShape& shape, int bank) const {
-  if (shape.n_sort < 0.5) return 0.0;
-  // Groups at or below one base run degenerate to the plain SIMD sort:
-  // nothing for codes to accelerate, so the kernel is never preferable.
-  const double run_elems = static_cast<double>(kOvcRunElems);
-  if (shape.avg_group_size <= run_elems) {
-    return std::numeric_limits<double>::infinity();
-  }
-  const OvcSortParams& p = params_.ovc(bank);
-  const double passes =
-      std::max(0.0, std::ceil(std::log2(shape.avg_group_size / run_elems)));
-  return shape.n_sort * p.overhead + shape.rows_to_sort * p.run_form +
-         shape.rows_to_sort * passes * p.merge_pass;
-}
-
 double CostModel::SortCyclesCounting(const GroupShape& shape, int width,
                                      double avg_group_distinct) const {
   if (shape.n_sort < 0.5) return 0.0;
@@ -165,13 +149,6 @@ CostModel::PlanEstimate CostModel::Estimate(const MassagePlan& plan,
     // round; merge is the unconditional fallback.
     re.kernel = SortKernel::kSimdMerge;
     re.t_sort = SortCycles(entering, round.bank);
-    if ((kernels & KernelBit(SortKernel::kOvcMerge)) != 0) {
-      const double t = SortCyclesOvc(entering, round.bank);
-      if (t < re.t_sort) {
-        re.t_sort = t;
-        re.kernel = SortKernel::kOvcMerge;
-      }
-    }
     const double exiting_distinct =
         CompositeDistinct(stats, prefix_bits + round.width);
     if ((kernels & KernelBit(SortKernel::kCounting)) != 0) {

@@ -139,10 +139,6 @@ class CostModel {
   GroupShape EstimateGroups(uint64_t n, double prefix_distinct) const;
   // T_sort^k: cost of sorting `shape` with bank `bank` (Eqs. 1-2, 5-8).
   double SortCycles(const GroupShape& shape, int bank) const;
-  // T_sort for the OVC merge kernel: SIMD base-run formation plus scalar
-  // code-driven binary passes. Returns +inf when the shape gives the
-  // kernel no merge passes to accelerate.
-  double SortCyclesOvc(const GroupShape& shape, int bank) const;
   // T_sort for the counting kernel on a `width`-bit round whose average
   // group holds `avg_group_distinct` distinct codes (drives the histogram
   // cache-residency blend). Returns +inf when width is infeasible.

@@ -32,15 +32,6 @@ CostParams CostParams::Default() {
   params.bank16 = {300.0, 2.5, 44.0, 2.0};
   params.bank32 = {300.0, 2.2, 48.0, 2.5};
   params.bank64 = {350.0, 6.0, 110.0, 4.5};
-  // OVC merge: run formation is the SIMD sort of 4K-row runs (so it folds
-  // the sort-network and in-cache constants of the bank), merge passes are
-  // scalar — honestly pricier per pass than the SIMD merge's per-code
-  // cost, which is exactly why the kernel only wins when prefix agreement
-  // lets codes skip most key work (long sorted inputs, many passes saved
-  // is not the mechanism — fewer touched key bytes per pass is).
-  params.ovc16 = {300.0, 6.0, 4.5};
-  params.ovc32 = {300.0, 6.5, 5.0};
-  params.ovc64 = {350.0, 9.0, 6.0};
   // Counting: per-row cost is a couple of array updates when the histogram
   // stays cache-resident, a scattered miss when it does not.
   params.counting = {300.0, 2.0, 3.0, 12.0};

@@ -21,20 +21,6 @@ struct BankSortParams {
   double out_of_cache_merge = 2.0;
 };
 
-// Per-bank OVC merge kernel constants: SIMD-formed base runs (kOvcRunElems
-// rows each) binary-merged on offset-value codes. The run-formation term
-// reuses the SIMD kernels so it tracks the bank; the per-pass term is
-// scalar, but each pass touches fewer key bytes than a SIMD pass would
-// because codes decide most comparisons.
-struct OvcSortParams {
-  // Fixed cycles per invocation.
-  double overhead = 300.0;
-  // Cycles per code of base-run formation + encoding (one-time).
-  double run_form = 7.0;
-  // Cycles per code per binary merge pass.
-  double merge_pass = 5.0;
-};
-
 // Counting kernel constants (sort/counting_sort.h): histogram + prefix +
 // stable scatter + key regeneration, O(N + K) with K = 2^width.
 struct CountingSortParams {
@@ -94,9 +80,6 @@ struct CostParams {
   BankSortParams bank32;
   BankSortParams bank64;
 
-  OvcSortParams ovc16;
-  OvcSortParams ovc32;
-  OvcSortParams ovc64;
   CountingSortParams counting;
   CoordMergeParams coord_merge;
   SpillParams spill;
@@ -125,21 +108,6 @@ struct CostParams {
       case 16: return bank16;
       case 32: return bank32;
       default: return bank64;
-    }
-  }
-
-  const OvcSortParams& ovc(int bank_bits) const {
-    switch (bank_bits) {
-      case 16: return ovc16;
-      case 32: return ovc32;
-      default: return ovc64;
-    }
-  }
-  OvcSortParams& mutable_ovc(int bank_bits) {
-    switch (bank_bits) {
-      case 16: return ovc16;
-      case 32: return ovc32;
-      default: return ovc64;
     }
   }
 

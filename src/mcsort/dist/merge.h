@@ -1,9 +1,10 @@
 // K-way merge of sorted shard result streams — the coordinator's gather
 // half. Shards ship per-element 128-bit composite sort keys
 // (dist/merge_keys.h); this header merges K such pre-sorted runs with a
-// tree of losers driven by offset-value codes, the K-way generalization of
-// the binary OvcMergeStream in sort/ovc.h (same Do & Graefe scheme, 16-bit
-// digits over the 128-bit key instead of byte digits over one bank).
+// tree of losers driven by offset-value codes (Do & Graefe, PAPERS.md):
+// each key is read as eight 16-bit digits, and an element's code names the
+// first digit where it differs from the element emitted before it and that
+// digit's value.
 //
 // Invariant carried by the tree (the classic tree-of-losers argument):
 // every stored loser's code is relative to the winner that defeated it,
@@ -30,8 +31,6 @@
 #include <cstdint>
 #include <utility>
 #include <vector>
-
-#include "mcsort/sort/ovc.h"
 
 namespace mcsort {
 namespace dist {
@@ -98,6 +97,15 @@ struct MergeElem {
   MergeCode code = 0;
 };
 
+// Comparison instrumentation: `full_compares` counts merge steps that had
+// to touch the keys (equal codes); `emitted` counts merged elements, i.e.
+// the comparisons a plain comparison-based merge would have performed. The
+// difference is the comparisons offset-value coding skipped.
+struct OvcCounters {
+  uint64_t full_compares = 0;
+  uint64_t emitted = 0;
+};
+
 class OvcLoserTree {
  public:
   explicit OvcLoserTree(std::vector<MergeRun> runs)
@@ -147,7 +155,7 @@ class OvcLoserTree {
     return true;
   }
 
-  const sort_internal::OvcCounters& counters() const { return counters_; }
+  const OvcCounters& counters() const { return counters_; }
 
  private:
   static constexpr int kNoRun = -1;
@@ -211,7 +219,7 @@ class OvcLoserTree {
   size_t cap_ = 1;
   size_t remaining_ = 0;
   int winner_ = kNoRun;
-  sort_internal::OvcCounters counters_;
+  OvcCounters counters_;
 };
 
 }  // namespace dist

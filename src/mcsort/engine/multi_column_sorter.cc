@@ -58,8 +58,7 @@ constexpr uint64_t kTinySortMorselSegments = 256;
 bool SingleKernelFromEnv(SortKernel* out) {
   const SortKernelMask mask = KernelMaskFromEnv(0);
   for (SortKernel kernel :
-       {SortKernel::kSimdMerge, SortKernel::kRadix, SortKernel::kOvcMerge,
-        SortKernel::kCounting}) {
+       {SortKernel::kSimdMerge, SortKernel::kRadix, SortKernel::kCounting}) {
     if (mask == KernelBit(kernel)) {
       *out = kernel;
       return true;
@@ -70,8 +69,7 @@ bool SingleKernelFromEnv(SortKernel* out) {
 
 }  // namespace
 
-MultiColumnSorter::MultiColumnSorter(ThreadPool* pool, SortKernel kernel)
-    : pool_(pool), kernel_(kernel) {
+MultiColumnSorter::MultiColumnSorter(ThreadPool* pool) : pool_(pool) {
   const int workers = pool_ == nullptr ? 1 : pool_->num_threads();
   scratch_.resize(static_cast<size_t>(workers));
   env_forced_ = SingleKernelFromEnv(&env_kernel_);
@@ -92,11 +90,12 @@ void MultiColumnSorter::SortSegments(int bank, SortKernel kernel,
   profile->num_sorts = num_sorts;
 
   const int key_width = keys->width();
-  // Override resolution: env forcing > constructor override > plan round.
-  SortKernel effective = kernel;
-  if (kernel_ != SortKernel::kSimdMerge) effective = kernel_;
-  if (env_forced_) effective = env_kernel_;
-  // A forced counting kernel on a too-wide round degrades to merge rather
+  // Resolution: a single-kernel MCSORT_KERNELS force, else the plan round.
+  SortKernel effective = env_forced_ ? env_kernel_ : kernel;
+  // Nothing produces the retired OVC kernel; a round carrying it is a
+  // programming error, like an unsupported bank.
+  MCSORT_CHECK(effective != SortKernel::kOvcMerge);
+  // A counting round too wide for its histogram degrades to merge rather
   // than crashing (the planner never chooses an infeasible width itself).
   if (effective == SortKernel::kCounting &&
       !CountingSortFeasible(key_width)) {
@@ -104,10 +103,7 @@ void MultiColumnSorter::SortSegments(int bank, SortKernel kernel,
   }
   profile->kernel = effective;
 
-  // Per-worker OVC counters, merged into the profile at the end.
-  std::vector<OvcSortStats> ovc_stats(scratch_.size());
-  const auto sort_one = [&](size_t s, SortScratch& scratch,
-                            OvcSortStats* ovc) {
+  const auto sort_one = [&](size_t s, SortScratch& scratch) {
     const uint32_t begin = segments.begin(s);
     const uint32_t len = segments.length(s);
     switch (effective) {
@@ -115,32 +111,21 @@ void MultiColumnSorter::SortSegments(int bank, SortKernel kernel,
         RadixSortPairsBank(bank, RawAt(keys, begin), oids + begin, len,
                            key_width, scratch);
         break;
-      case SortKernel::kOvcMerge:
-        OvcSortPairsBank(bank, RawAt(keys, begin), oids + begin, len,
-                         scratch, ovc);
-        break;
       case SortKernel::kCounting:
         CountingSortPairsBank(bank, RawAt(keys, begin), oids + begin, len,
                               key_width, scratch);
         break;
-      case SortKernel::kSimdMerge:
+      default:
         SortPairsBank(bank, RawAt(keys, begin), oids + begin, len, scratch);
         break;
-    }
-  };
-  const auto finish = [&] {
-    for (const OvcSortStats& s : ovc_stats) {
-      profile->ovc_full_compares += s.full_compares;
-      profile->ovc_emitted += s.emitted;
     }
   };
 
   if (pool_ == nullptr || pool_->num_threads() <= 1) {
     for (size_t s = 0; s < segments.count(); ++s) {
       if (stoppable && ctx->StopRequested()) break;
-      if (segments.length(s) > 1) sort_one(s, scratch_[0], &ovc_stats[0]);
+      if (segments.length(s) > 1) sort_one(s, scratch_[0]);
     }
-    finish();
     return;
   }
 
@@ -156,8 +141,8 @@ void MultiColumnSorter::SortSegments(int bank, SortKernel kernel,
   for (size_t s = 0; s < segments.count(); ++s) {
     const uint32_t len = segments.length(s);
     if (len <= 1) continue;
-    // Merge, OVC, and counting each have a cooperative parallel sorter;
-    // radix rounds keep whole segments as work units.
+    // Merge and counting each have a cooperative parallel sorter; radix
+    // rounds keep whole segments as work units.
     if (effective != SortKernel::kRadix && len >= huge_len) {
       huge.push_back(static_cast<uint32_t>(s));
     } else if (len > kSimdSortInsertionMax) {
@@ -170,28 +155,17 @@ void MultiColumnSorter::SortSegments(int bank, SortKernel kernel,
   for (const uint32_t s : huge) {
     if (stoppable && ctx->StopRequested()) break;
     const uint32_t begin = segments.begin(s);
-    switch (effective) {
-      case SortKernel::kOvcMerge:
-        ParallelOvcSortPairsBank(bank, RawAt(keys, begin), oids + begin,
-                                 segments.length(s), *pool_, scratch_, ctx,
-                                 &ovc_stats[0]);
-        break;
-      case SortKernel::kCounting:
-        ParallelCountingSortPairsBank(bank, RawAt(keys, begin), oids + begin,
-                                      segments.length(s), key_width, *pool_,
-                                      scratch_, ctx);
-        break;
-      default:
-        ParallelSortPairsBank(bank, RawAt(keys, begin), oids + begin,
-                              segments.length(s), *pool_, scratch_, ctx);
-        break;
+    if (effective == SortKernel::kCounting) {
+      ParallelCountingSortPairsBank(bank, RawAt(keys, begin), oids + begin,
+                                    segments.length(s), key_width, *pool_,
+                                    scratch_, ctx);
+    } else {
+      ParallelSortPairsBank(bank, RawAt(keys, begin), oids + begin,
+                            segments.length(s), *pool_, scratch_, ctx);
     }
   }
   profile->cooperative_sorts = huge.size();
-  if (stoppable && ctx->StopRequested()) {
-    finish();
-    return;
-  }
+  if (stoppable && ctx->StopRequested()) return;
 
   const auto sort_bucket = [&](const std::vector<uint32_t>& bucket,
                                uint64_t morsel) {
@@ -199,9 +173,8 @@ void MultiColumnSorter::SortSegments(int bank, SortKernel kernel,
         bucket.size(), morsel,
         [&](uint64_t begin, uint64_t end, int worker) {
           SortScratch& scratch = scratch_[static_cast<size_t>(worker)];
-          OvcSortStats* ovc = &ovc_stats[static_cast<size_t>(worker)];
           for (uint64_t i = begin; i < end; ++i) {
-            sort_one(bucket[static_cast<size_t>(i)], scratch, ovc);
+            sort_one(bucket[static_cast<size_t>(i)], scratch);
           }
         },
         ctx);
@@ -210,7 +183,6 @@ void MultiColumnSorter::SortSegments(int bank, SortKernel kernel,
   };
   sort_bucket(mid, kMidSortMorselSegments);
   sort_bucket(tiny, kTinySortMorselSegments);
-  finish();
 }
 
 MultiColumnSortResult MultiColumnSorter::Sort(

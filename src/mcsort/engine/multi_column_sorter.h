@@ -33,13 +33,9 @@ struct RoundProfile {
   size_t num_groups = 0;      // N_group after this round
   size_t num_sorts = 0;       // N_sort: non-singleton groups sorted
 
-  // The kernel that actually executed this round (after plan annotation,
-  // constructor override, and MCSORT_KERNELS forcing are resolved).
+  // The kernel that actually executed this round (after MCSORT_KERNELS
+  // forcing and the plan annotation are resolved).
   SortKernel kernel = SortKernel::kSimdMerge;
-  // OVC instrumentation (zero unless kernel == kOvcMerge): merge steps
-  // executed vs. the subset that needed a full key comparison.
-  uint64_t ovc_emitted = 0;
-  uint64_t ovc_full_compares = 0;
 
   // Morsel-driven parallelism instrumentation (all zero for serial runs).
   size_t cooperative_sorts = 0;  // huge segments sorted by the parallel
@@ -73,17 +69,15 @@ struct MultiColumnSortResult {
   }
 };
 
-// SortKernel itself lives in massage/plan.h (it is a plan dimension now);
-// the executor resolves the effective kernel per round as:
+// SortKernel itself lives in massage/plan.h (it is a plan dimension); the
+// executor resolves the effective kernel per round as:
 //   MCSORT_KERNELS forcing (exactly one kernel named)
-//   > constructor-level override (kernel != kSimdMerge, e.g. the radix
-//     benchmarks)
-//   > the plan round's cost-chosen annotation.
+//   > the plan round's annotation (stamped by ROGA or set by the caller).
+// A counting round too wide for its histogram runs merge instead.
 class MultiColumnSorter {
  public:
   // `pool` (optional) parallelizes massaging, lookups, and per-group sorts.
-  explicit MultiColumnSorter(ThreadPool* pool = nullptr,
-                             SortKernel kernel = SortKernel::kSimdMerge);
+  explicit MultiColumnSorter(ThreadPool* pool = nullptr);
 
   // Sorts under `plan`; plan.total_width() must equal the summed input
   // widths. Inputs are given most-significant first (ORDER BY order).
@@ -104,22 +98,20 @@ class MultiColumnSorter {
  private:
   // Sorts every non-singleton segment of `keys` in place, permuting the
   // matching `oids` range, with round kernel `kernel` (subject to the
-  // override resolution described above; the resolved kernel and any OVC
-  // counters are recorded in `profile`). With a multi-worker pool,
-  // segments are bucketed by size: huge ones run the cooperative parallel
-  // sorter of the kernel (merge, OVC, and counting all have one; radix
-  // keeps whole segments), mid-size ones are claimed dynamically as
-  // morsels of segments, and tiny (insertion-sort-sized) ones ride in
-  // large morsels to amortize dispatch. A stoppable `ctx` stops between
-  // segments / morsels / merge chunks; the caller re-checks ctx and
-  // discards the round on a stop.
+  // resolution described above; the resolved kernel is recorded in
+  // `profile`). With a multi-worker pool, segments are bucketed by size:
+  // huge ones run the cooperative parallel sorter of the kernel (merge and
+  // counting have one; radix keeps whole segments), mid-size ones are
+  // claimed dynamically as morsels of segments, and tiny
+  // (insertion-sort-sized) ones ride in large morsels to amortize
+  // dispatch. A stoppable `ctx` stops between segments / morsels / merge
+  // chunks; the caller re-checks ctx and discards the round on a stop.
   void SortSegments(int bank, SortKernel kernel, EncodedColumn* keys,
                     Oid* oids, const Segments& segments,
                     RoundProfile* profile,
                     const ExecContext* ctx = nullptr);
 
   ThreadPool* pool_;
-  SortKernel kernel_;
   // MCSORT_KERNELS named exactly one kernel: force it everywhere.
   bool env_forced_ = false;
   SortKernel env_kernel_ = SortKernel::kSimdMerge;

@@ -27,7 +27,7 @@ SortKernelMask ParseKernelMask(const std::string& text,
   while (pos <= text.size()) {
     size_t comma = text.find(',', pos);
     if (comma == std::string::npos) comma = text.size();
-    // Trim surrounding whitespace: "ovc, counting" must parse.
+    // Trim surrounding whitespace: "merge, counting" must parse.
     size_t begin = pos;
     size_t end = comma;
     while (begin < end && std::isspace(static_cast<unsigned char>(text[begin]))) ++begin;
@@ -35,8 +35,6 @@ SortKernelMask ParseKernelMask(const std::string& text,
     const std::string token = text.substr(begin, end - begin);
     if (token == "merge" || token == "simd") {
       mask |= KernelBit(SortKernel::kSimdMerge);
-    } else if (token == "ovc") {
-      mask |= KernelBit(SortKernel::kOvcMerge);
     } else if (token == "counting") {
       mask |= KernelBit(SortKernel::kCounting);
     } else if (token == "radix") {

@@ -20,27 +20,28 @@ namespace mcsort {
 // Which single-column sort kernel executes a round. kSimdMerge is the
 // paper's merge-sort with sorting-network kernel [5]; kRadix is the LSD
 // radix sort of the Sec. 7 extension (cost driven by the round *width*
-// rather than the bank); kOvcMerge forms SIMD-sorted runs but merges them
-// with offset-value codes (Do & Graefe) that skip full key comparisons
-// when prefixes match; kCounting is the CAFS-style O(N + K) frequency sort
-// for rounds whose domain (and distinct count) is small relative to N.
+// rather than the bank); kCounting is the CAFS-style O(N + K) frequency
+// sort for rounds whose domain (and distinct count) is small relative to
+// N. kOvcMerge is retired: its in-round kernel is gone and nothing
+// produces it. It keeps its value and its "ovc" name only because the
+// end-to-end benchmark's kernel census (bench/e2e) still lists it and
+// reports it as 0; the executor rejects a round that carries it.
 enum class SortKernel { kSimdMerge, kRadix, kOvcMerge, kCounting };
 
 const char* SortKernelName(SortKernel kernel);
 
 // Bitmask over SortKernel values — the plan search's kernel-choice
 // dimension. kRoutableKernels are the kernels the cost model can estimate
-// and ROGA routes between; kRadix stays a manual override (no calibrated
-// cost term) selectable only via MCSORT_KERNELS or the sorter constructor.
+// and ROGA routes between; kRadix has no cost term and runs only where a
+// round is annotated with it or MCSORT_KERNELS forces it.
 using SortKernelMask = uint32_t;
 constexpr SortKernelMask KernelBit(SortKernel kernel) {
   return SortKernelMask{1} << static_cast<int>(kernel);
 }
 constexpr SortKernelMask kRoutableKernels =
-    KernelBit(SortKernel::kSimdMerge) | KernelBit(SortKernel::kOvcMerge) |
-    KernelBit(SortKernel::kCounting);
+    KernelBit(SortKernel::kSimdMerge) | KernelBit(SortKernel::kCounting);
 
-// Parses a comma-separated kernel list ("merge", "ovc", "counting",
+// Parses a comma-separated kernel list ("merge" or "simd", "counting",
 // "radix"); unknown tokens are ignored, an empty/unparsable string returns
 // `fallback`.
 SortKernelMask ParseKernelMask(const std::string& text,
@@ -53,8 +54,9 @@ SortKernelMask KernelMaskFromEnv(SortKernelMask fallback = kRoutableKernels);
 
 // One round of sorting: `width` bits of the concatenated key sorted with a
 // `bank`-bit-bank SIMD-sort. 1 <= width <= bank, bank in {16, 32, 64}.
-// `kernel` is the cost-chosen sort kernel for the round (a pure execution
-// annotation: Lemma 1 output equivalence holds for any kernel choice).
+// `kernel` is the round's sort kernel, stamped by ROGA or set by a caller
+// (a pure execution annotation: Lemma 1 output equivalence holds for any
+// kernel choice).
 struct Round {
   int width = 0;
   int bank = 0;

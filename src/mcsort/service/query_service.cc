@@ -558,7 +558,6 @@ ExecResult QueryService::ExecuteOn(QuerySession* session,
   // sort's RoundProfiles.
   uint64_t sort_morsels = 0, lookup_morsels = 0, scan_chunks = 0;
   uint64_t cooperative = 0;
-  uint64_t ovc_full = 0, ovc_emitted = 0;
   for (const RoundProfile& round : result.sort_profile.rounds) {
     sort_morsels += round.sort_morsels;
     lookup_morsels += round.lookup_morsels;
@@ -571,17 +570,11 @@ ExecResult QueryService::ExecuteOn(QuerySession* session,
     metrics_.counter("sort.kernel." + kernel + ".rounds")->Increment();
     metrics_.histogram("sort.kernel." + kernel + ".seconds")
         ->Record(round.sort_seconds);
-    ovc_full += round.ovc_full_compares;
-    ovc_emitted += round.ovc_emitted;
   }
   metrics_.counter("morsels.sort")->Add(sort_morsels);
   metrics_.counter("morsels.lookup")->Add(lookup_morsels);
   metrics_.counter("morsels.scan")->Add(scan_chunks);
   metrics_.counter("morsels.cooperative_sorts")->Add(cooperative);
-  // OVC effectiveness: merge steps emitted vs. the subset that fell back
-  // to a full key comparison (lower ratio = codes doing more work).
-  metrics_.counter("sort.ovc.emitted")->Add(ovc_emitted);
-  metrics_.counter("sort.ovc.full_compares")->Add(ovc_full);
   return out;
 }
 

@@ -45,12 +45,6 @@ struct SortScratch {
   AlignedBuffer<uint64_t> u64_a;
   AlignedBuffer<uint64_t> u64_b;
   AlignedBuffer<uint64_t> u64_c;
-  // Offset-value code arrays (one uint16 per element) for the OVC merge
-  // kernel: codes + their merge-pass ping-pong partner + a spare the
-  // 16-bit bank uses as its alternate key buffer.
-  AlignedBuffer<uint16_t> u16_a;
-  AlignedBuffer<uint16_t> u16_b;
-  AlignedBuffer<uint16_t> u16_c;
 };
 
 // Sorts keys[0..n) ascending, permuting oids identically. Keys may use the
@@ -106,63 +100,6 @@ void ParallelSortPairsBank(int bank, void* keys, uint32_t* oids, size_t n,
                            ThreadPool& pool,
                            std::vector<SortScratch>& scratches,
                            const ExecContext* ctx = nullptr);
-
-// ---------------------------------------------------------------------------
-// OVC merge kernel (sort/ovc.h)
-// ---------------------------------------------------------------------------
-
-// Base-run length for the OVC sort: runs of this many rows are formed with
-// the SIMD kernels (where OVC cannot help — network comparisons are data
-// parallel), encoded once, then binary-merged on codes. Power of two; the
-// cost model's pass count is ceil(log2(n / kOvcRunElems)).
-constexpr size_t kOvcRunElems = 4096;
-
-// Comparison instrumentation returned by the OVC sorts: `emitted` counts
-// merge steps (the comparisons a plain comparison merge would perform),
-// `full_compares` the subset where equal codes forced a full key
-// comparison. The gap is what offset-value coding skipped.
-struct OvcSortStats {
-  uint64_t full_compares = 0;
-  uint64_t emitted = 0;
-};
-
-// Sorts keys[0..n) ascending permuting oids identically — same contract as
-// SortPairs* — via SIMD-formed base runs merged with offset-value codes.
-// Scalar merges: works (and is the designated comparison-sort) on builds
-// without AVX2.
-void OvcSortPairs16(uint16_t* keys, uint32_t* oids, size_t n,
-                    SortScratch& scratch, OvcSortStats* stats = nullptr);
-void OvcSortPairs32(uint32_t* keys, uint32_t* oids, size_t n,
-                    SortScratch& scratch, OvcSortStats* stats = nullptr);
-void OvcSortPairs64(uint64_t* keys, uint32_t* oids, size_t n,
-                    SortScratch& scratch, OvcSortStats* stats = nullptr);
-void OvcSortPairsBank(int bank, void* keys, uint32_t* oids, size_t n,
-                      SortScratch& scratch, OvcSortStats* stats = nullptr);
-
-// Parallel OVC sorts, mirroring ParallelSortPairs*: per-worker serial OVC
-// part sorts, then parallel pairwise code-carrying merge passes.
-// scratches[0] provides the shared full-length code + ping-pong buffers.
-// Stoppable `ctx` semantics match ParallelSortPairs*.
-void ParallelOvcSortPairs16(uint16_t* keys, uint32_t* oids, size_t n,
-                            ThreadPool& pool,
-                            std::vector<SortScratch>& scratches,
-                            const ExecContext* ctx = nullptr,
-                            OvcSortStats* stats = nullptr);
-void ParallelOvcSortPairs32(uint32_t* keys, uint32_t* oids, size_t n,
-                            ThreadPool& pool,
-                            std::vector<SortScratch>& scratches,
-                            const ExecContext* ctx = nullptr,
-                            OvcSortStats* stats = nullptr);
-void ParallelOvcSortPairs64(uint64_t* keys, uint32_t* oids, size_t n,
-                            ThreadPool& pool,
-                            std::vector<SortScratch>& scratches,
-                            const ExecContext* ctx = nullptr,
-                            OvcSortStats* stats = nullptr);
-void ParallelOvcSortPairsBank(int bank, void* keys, uint32_t* oids, size_t n,
-                              ThreadPool& pool,
-                              std::vector<SortScratch>& scratches,
-                              const ExecContext* ctx = nullptr,
-                              OvcSortStats* stats = nullptr);
 
 }  // namespace mcsort
 

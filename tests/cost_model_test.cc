@@ -1,13 +1,20 @@
 // Tests for the cost model: structural properties (Eq. 3 hit-ratio
-// behavior, FIP counting in T_massage, Lemma 2's Property 1 dominance) and
-// agreement in *shape* with the paper's Sec. 3 examples.
+// behavior, FIP counting in T_massage, Lemma 2's Property 1 dominance),
+// agreement in *shape* with the paper's Sec. 3 examples, and the
+// calibration file format.
 #include "mcsort/cost/cost_model.h"
 
+#include <unistd.h>
+
+#include <cstdio>
+#include <fstream>
+#include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
 #include "mcsort/common/bits.h"
 #include "mcsort/common/random.h"
+#include "mcsort/cost/calibration.h"
 #include "mcsort/cost/linear_solver.h"
 #include "mcsort/plan/enumerate.h"
 #include "mcsort/storage/column.h"
@@ -223,6 +230,119 @@ TEST(LinearSolverTest, LeastSquaresFitsNoisyOverdetermined) {
   const auto x = SolveLeastSquares(a, b);
   EXPECT_NEAR(x[0], truth[0], 1.0);
   EXPECT_NEAR(x[1], truth[1], 0.01);
+}
+
+// --- Calibration file format (SaveParams / LoadParams) -------------------
+
+// A file in the test temp directory, removed when the test ends.
+class ParamsFile {
+ public:
+  explicit ParamsFile(const std::string& name)
+      : path_(::testing::TempDir() + "mcsort_params_" + name + "_" +
+              std::to_string(getpid()) + ".txt") {}
+  ~ParamsFile() { std::remove(path_.c_str()); }
+  const char* path() const { return path_.c_str(); }
+  void Write(const std::string& text) const { std::ofstream(path_) << text; }
+
+ private:
+  std::string path_;
+};
+
+// Every field SaveParams writes, each different from its default and
+// exact in six significant digits.
+CostParams NonDefaultParams() {
+  CostParams params = CostParams::Default();
+  params.cache_cycles = 11.5;
+  params.mem_cycles = 17.25;
+  params.massage_cycles = 1.625;
+  params.scan_cycles = 1.375;
+  params.bank16 = {12.0, 21.5, 22.5, 31.5};
+  params.bank32 = {13.0, 27.5, 28.5, 14.5};
+  params.bank64 = {14.0, 58.5, 59.5, 35.5};
+  params.counting = {348.5, 0.25, 19.5, 32.5};
+  return params;
+}
+
+void ExpectSameSavedFields(const CostParams& a, const CostParams& b) {
+  EXPECT_EQ(a.cache_cycles, b.cache_cycles);
+  EXPECT_EQ(a.mem_cycles, b.mem_cycles);
+  EXPECT_EQ(a.massage_cycles, b.massage_cycles);
+  EXPECT_EQ(a.scan_cycles, b.scan_cycles);
+  for (int bank : {16, 32, 64}) {
+    EXPECT_EQ(a.bank(bank).overhead, b.bank(bank).overhead) << bank;
+    EXPECT_EQ(a.bank(bank).sort_network, b.bank(bank).sort_network) << bank;
+    EXPECT_EQ(a.bank(bank).in_cache_merge, b.bank(bank).in_cache_merge)
+        << bank;
+    EXPECT_EQ(a.bank(bank).out_of_cache_merge,
+              b.bank(bank).out_of_cache_merge)
+        << bank;
+  }
+  EXPECT_EQ(a.counting.overhead, b.counting.overhead);
+  EXPECT_EQ(a.counting.per_bucket, b.counting.per_bucket);
+  EXPECT_EQ(a.counting.row_cache, b.counting.row_cache);
+  EXPECT_EQ(a.counting.row_mem, b.counting.row_mem);
+}
+
+// A calibration file written while the in-round OVC kernel existed (the
+// end-to-end benchmark's checked-in constants): three ovc<N>= lines
+// between the banks and counting.
+const char kFileWithOvcLines[] =
+    "cache_cycles=11.1021\n"
+    "mem_cycles=15.9721\n"
+    "massage_cycles=1.61755\n"
+    "scan_cycles=1.56053\n"
+    "bank16=10,26.5615,26.5615,30.0693\n"
+    "bank32=10,27.6161,27.6161,14.2795\n"
+    "bank64=10,58.0273,58.0273,35.316\n"
+    "ovc16=10,61.3342,10.8379\n"
+    "ovc32=1590.41,47.6309,15.7049\n"
+    "ovc64=8711.53,106.775,14.4469\n"
+    "counting=348.26,0.259894,19.7308,32.1733\n";
+
+TEST(CalibrationFileTest, SaveLoadRoundTripsEveryField) {
+  ParamsFile file("round_trip");
+  const CostParams saved = NonDefaultParams();
+  ASSERT_TRUE(SaveParams(saved, file.path()));
+  CostParams loaded = CostParams::Default();
+  ASSERT_TRUE(LoadParams(file.path(), &loaded));
+  ExpectSameSavedFields(saved, loaded);
+}
+
+TEST(CalibrationFileTest, RepeatedKeyDoesNotCompleteAFile) {
+  ParamsFile file("repeated_key");
+  std::string text;
+  for (int i = 0; i < 11; ++i) text += "cache_cycles=1\n";
+  file.Write(text);
+  CostParams params = CostParams::Default();
+  EXPECT_FALSE(LoadParams(file.path(), &params));
+  ExpectSameSavedFields(CostParams::Default(), params);
+}
+
+TEST(CalibrationFileTest, BankOutsideTheModelIsRejected) {
+  // Complete but for one line naming a bank the model does not have; it
+  // must not land on bank64.
+  ParamsFile file("bank8");
+  file.Write(std::string(kFileWithOvcLines) + "bank8=1,2,3,4\n");
+  CostParams params = CostParams::Default();
+  EXPECT_FALSE(LoadParams(file.path(), &params));
+  ExpectSameSavedFields(CostParams::Default(), params);
+}
+
+TEST(CalibrationFileTest, FileWithOvcLinesStillLoads) {
+  ParamsFile file("ovc_lines");
+  file.Write(kFileWithOvcLines);
+  CostParams params = CostParams::Default();
+  ASSERT_TRUE(LoadParams(file.path(), &params));
+  CostParams expected = CostParams::Default();
+  expected.cache_cycles = 11.1021;
+  expected.mem_cycles = 15.9721;
+  expected.massage_cycles = 1.61755;
+  expected.scan_cycles = 1.56053;
+  expected.bank16 = {10, 26.5615, 26.5615, 30.0693};
+  expected.bank32 = {10, 27.6161, 27.6161, 14.2795};
+  expected.bank64 = {10, 58.0273, 58.0273, 35.316};
+  expected.counting = {348.26, 0.259894, 19.7308, 32.1733};
+  ExpectSameSavedFields(expected, params);
 }
 
 }  // namespace

@@ -121,7 +121,7 @@ TEST_F(SearchTest, RogaStitchesNarrowColumns) {
   ColumnStats c1 = MakeStats(10, 1 << 14, 1 << 10, 21);
   ColumnStats c2 = MakeStats(17, 1 << 14, 1 << 13, 22);
   SortInstanceStats stats{1 << 22, {&c1, &c2}};
-  // Merge-only: with counting/OVC routable the optimum may legitimately be
+  // Merge-only: with counting routable the optimum may legitimately be
   // a multi-round counting plan; this test pins the classic stitch shape.
   SearchOptions options;
   options.kernels = KernelBit(SortKernel::kSimdMerge);

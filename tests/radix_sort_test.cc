@@ -135,13 +135,16 @@ TEST(RadixKernelEngineTest, WholePlansRunOnRadix) {
   }
   std::vector<MassageInput> inputs = {{&a, SortOrder::kAscending},
                                       {&b, SortOrder::kDescending}};
-  MultiColumnSorter merge_sorter(nullptr, SortKernel::kSimdMerge);
-  MultiColumnSorter radix_sorter(nullptr, SortKernel::kRadix);
+  MultiColumnSorter sorter;
   for (const auto& widths :
        std::vector<std::vector<int>>{{11, 21}, {32}, {16, 16}, {20, 12}}) {
     const MassagePlan plan = MassagePlan::WithMinimalBanks(widths);
-    const auto merge_result = merge_sorter.Sort(inputs, plan);
-    const auto radix_result = radix_sorter.Sort(inputs, plan);
+    MassagePlan radix_plan = plan;
+    for (size_t j = 0; j < radix_plan.num_rounds(); ++j) {
+      radix_plan.mutable_round(j)->kernel = SortKernel::kRadix;
+    }
+    const auto merge_result = sorter.Sort(inputs, plan);
+    const auto radix_result = sorter.Sort(inputs, radix_plan);
     ASSERT_EQ(merge_result.groups.bounds, radix_result.groups.bounds)
         << plan.ToString();
     // Same tuple sequence.
