@@ -38,6 +38,11 @@ using mcsort::EnvU64;  // shared with the service layer (common/env.h)
 
 inline uint64_t EnvRows() { return EnvU64("MCSORT_N", uint64_t{1} << 21); }
 inline int EnvReps() { return static_cast<int>(EnvU64("MCSORT_REPS", 3)); }
+inline double EnvScale() {
+  const char* env = std::getenv("MCSORT_SF");
+  const double sf = env != nullptr ? std::atof(env) : 0;
+  return sf > 0 ? sf : 0.1;
+}
 
 // Worker-count ceiling for the thread-scaling benches: MCSORT_THREADS if
 // set, else the detected core count. The pool itself is real either way —

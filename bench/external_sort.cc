@@ -181,12 +181,11 @@ int RunPrefetchAblation(const Table& table, const std::string& spill_dir,
   for (const Mode mode : {Mode{"sync reads      ", false, 0},
                           Mode{"prefetch x1     ", true, 1},
                           Mode{"prefetch x2     ", true, 2}}) {
-    external::ExternalSortOptions options;
-    options.dir = spill_dir;
-    options.slice_rows = n / 8;
-    options.prefetch = mode.prefetch;
-    options.io_threads = mode.io_threads;
-    external::ExternalSorter ext(&sorter, options);
+    SpillConfig config;
+    config.dir = spill_dir;
+    config.prefetch = mode.prefetch;
+    config.io_threads = mode.io_threads;
+    external::ExternalSorter ext(&sorter, config, n / 8);
     double merge = 1e30, total = 1e30;
     for (int r = 0; r < reps; ++r) {
       Timer timer;

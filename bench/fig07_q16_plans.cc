@@ -18,7 +18,7 @@
 int main() {
   using namespace mcsort;
   WorkloadOptions wopts;
-  wopts.scale = ScaleFromEnv();
+  wopts.scale = bench::EnvScale();
   const Workload workload = MakeTpch(wopts);
   const WorkloadQuery& q16 = workload.query("Q16");
   const Table& table = workload.table_for(q16);

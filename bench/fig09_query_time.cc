@@ -47,7 +47,7 @@ void RunScale(const Workload& workload,
 
 int main() {
   using namespace mcsort;
-  const double base = ScaleFromEnv();
+  const double base = bench::EnvScale();
   const CostParams& params = bench::BenchParams();
   std::printf("Figure 9 reproduction: query execution time, massage on/off,\n"
               "three scales (paper: SF 1/5/10; here %.3g/%.3g/%.3g).\n",

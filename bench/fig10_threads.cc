@@ -15,7 +15,7 @@
 int main() {
   using namespace mcsort;
   WorkloadOptions wopts;
-  wopts.scale = ScaleFromEnv();
+  wopts.scale = bench::EnvScale();
   const CostParams& params = bench::BenchParams();
   // Default sweep reaches 4 threads as the paper's i7 curve does; on a
   // bigger host set MCSORT_THREADS to sweep the morsel-driven executor up

@@ -17,7 +17,7 @@
 int main() {
   using namespace mcsort;
   WorkloadOptions wopts;
-  wopts.scale = ScaleFromEnv();
+  wopts.scale = bench::EnvScale();
   const CostParams& params = bench::BenchParams();
   const CostModel model(params);
 
@@ -48,8 +48,9 @@ int main() {
                 "plans", "est mcs(ms)", "chosen plan");
 
     // Default sweep, or a single externally chosen value: MCSORT_RHO is
-    // the same knob the query service reads (ServiceOptions::FromEnv), so
-    // a deployment can check its configured rho against this figure.
+    // the same knob mcsort_server reads into its service options
+    // (net/process_options.h), so a deployment can check its configured
+    // rho against this figure.
     std::vector<double> rhos = {0.0001, 0.001, 0.01, 0.1, 0.0};
     std::vector<std::string> labels = {"0.01%", "0.1%", "1%", "10%", "N/S"};
     const double env_rho = EnvDouble("MCSORT_RHO", -1.0);

@@ -52,7 +52,7 @@ uint64_t ProbeSum(const Table& table, const std::string& column) {
 
 void RunColdStart(const std::string& scratch, int reps) {
   WorkloadOptions options;
-  options.scale = ScaleFromEnv();
+  options.scale = bench::EnvScale();
   Timer gen_timer;
   Workload workload = MakeTpch(options);
   const double gen_seconds = gen_timer.Seconds();

@@ -25,6 +25,7 @@
 #include "mcsort/common/env.h"
 #include "mcsort/common/timer.h"
 #include "mcsort/net/client.h"
+#include "mcsort/net/process_options.h"
 #include "mcsort/net/server.h"
 #include "mcsort/service/query_service.h"
 
@@ -103,7 +104,12 @@ int main() {
   const Table table = BenchTable(n, 909);
   const std::vector<QuerySpec> specs = WorkloadSpecs();
 
-  ServiceOptions service_options = ServiceOptions::FromEnv();
+  ProcessOptions env;
+  if (const Status parsed = ProcessOptions::FromEnv(&env); !parsed.ok()) {
+    std::fprintf(stderr, "net_throughput: %s\n", parsed.ToString().c_str());
+    return 2;
+  }
+  ServiceOptions service_options = env.service;
   service_options.threads = pool_threads;
   service_options.params = bench::BenchParams();
   service_options.admission.max_inflight = std::max(2, pool_threads);

@@ -23,6 +23,7 @@
 #include "bench/bench_util.h"
 #include "mcsort/common/env.h"
 #include "mcsort/common/timer.h"
+#include "mcsort/net/process_options.h"
 #include "mcsort/service/query_service.h"
 
 namespace mcsort {
@@ -134,7 +135,13 @@ int main() {
   const Table table = BenchTable(n, 4242);
   const std::vector<QuerySpec> specs = WorkloadSpecs();
 
-  ServiceOptions options = ServiceOptions::FromEnv();
+  net::ProcessOptions env;
+  if (const Status parsed = net::ProcessOptions::FromEnv(&env); !parsed.ok()) {
+    std::fprintf(stderr, "service_throughput: %s\n",
+                 parsed.ToString().c_str());
+    return 2;
+  }
+  ServiceOptions options = env.service;
   std::printf("Query-service throughput: %zu rows, %zu-query mix, "
               "%d replays/session, %d pool threads, rho=%g.\n",
               n, specs.size(), reps, threads, options.rho);

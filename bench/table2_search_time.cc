@@ -42,7 +42,7 @@ void RunWorkload(const Workload& workload, const CostModel& model) {
 int main() {
   using namespace mcsort;
   WorkloadOptions wopts;
-  wopts.scale = ScaleFromEnv();
+  wopts.scale = bench::EnvScale();
   const CostParams& params = bench::BenchParams();
   const CostModel model(params);
   std::printf("Table 2 reproduction: ROGA plan-search time per query "

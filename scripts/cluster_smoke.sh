@@ -45,6 +45,12 @@ cleanup() {
 }
 trap cleanup EXIT
 
+# The server plans with calibrated costs. Point it at a copy of the
+# benchmark's constants: a fresh calibration takes longer than the wait
+# for the listening line, and a failed load would overwrite the file.
+cp bench/e2e/cost_params.txt "${data_dir}/calibration.txt"
+export MCSORT_CALIBRATION="${data_dir}/calibration.txt"
+
 # Port layout: full server, shard 0/1/2 primaries, shard 0 replica.
 # base_port=0 (the default) binds ephemeral ports; the actual port is
 # parsed back from each server's startup line.

@@ -47,6 +47,12 @@ cleanup() {
 }
 trap cleanup EXIT
 
+# The server plans with calibrated costs. Point it at a copy of the
+# benchmark's constants: a fresh calibration takes longer than the wait
+# for the listening line, and a failed load would overwrite the file.
+cp bench/e2e/cost_params.txt "${work}/calibration.txt"
+export MCSORT_CALIBRATION="${work}/calibration.txt"
+
 # Starts the server (ephemeral port by default, read back into ${port})
 # with the compactor at `interval_ms`, retrying ONCE on a bind race.
 start_server() {

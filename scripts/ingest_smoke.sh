@@ -39,6 +39,12 @@ cleanup() {
 }
 trap cleanup EXIT
 
+# The server plans with calibrated costs. Point it at a copy of the
+# benchmark's constants: a fresh calibration takes longer than the wait
+# for the listening line, and a failed load would overwrite the file.
+cp bench/e2e/cost_params.txt "${work}/calibration.txt"
+export MCSORT_CALIBRATION="${work}/calibration.txt"
+
 echo "=== generating ${rows}-row CSV ==="
 # Columns match net_probe's canned query (filter c, group a+b, sum m).
 awk -v n="${rows}" 'BEGIN {

@@ -4,10 +4,12 @@
 # metrics, and the malformed-frame fuzz corpus), then sends SIGTERM and
 # requires a clean drain within a bounded window. A server that ignores
 # the signal or wedges mid-drain is killed hard and the script fails —
-# graceful shutdown is part of the contract, not best-effort. A second
-# server then runs the probe under a 64 KiB scratch budget: its query must
-# spill into the MCSORT_SPILL_DIR it was given and leave that directory
-# empty.
+# graceful shutdown is part of the contract, not best-effort. The first
+# server must have loaded the calibration file MCSORT_CALIBRATION names,
+# and a server started with MCSORT_PORT=70000 must exit 2 naming the
+# variable instead of binding a wrapped port. A second server then runs
+# the probe under a 64 KiB scratch budget: its query must spill into the
+# MCSORT_SPILL_DIR it was given and leave that directory empty.
 #
 # Usage: scripts/net_smoke.sh [build-dir]   (default: build)
 # Env:   MCSORT_SMOKE_PORT (default 0 = ephemeral; the bound port is read
@@ -40,6 +42,12 @@ cleanup() {
   rm -rf "${work}"
 }
 trap cleanup EXIT
+
+# The server plans with calibrated costs. Point it at a copy of the
+# benchmark's constants: a fresh calibration takes longer than the wait
+# for the listening line, and a failed load would overwrite the file.
+cp bench/e2e/cost_params.txt "${work}/calibration.txt"
+export MCSORT_CALIBRATION="${work}/calibration.txt"
 
 # start_server <log> [VAR=value ...]: boots the server with the extra
 # environment and reads the port it bound back into ${bound_port} (it
@@ -108,8 +116,27 @@ drain_server() {
   }
 }
 
+# Phase 0: a knob that does not fit its field is refused at startup, not
+# wrapped (70000 as a 16-bit port would bind 4464).
+echo "=== MCSORT_PORT=70000 must be refused ==="
+rc=0
+timeout 10 env MCSORT_PORT=70000 MCSORT_N=1024 "${server_bin}" \
+  > "${work}/server0.log" 2>&1 || rc=$?
+if ((rc != 2)) || ! grep -q "MCSORT_PORT" "${work}/server0.log" \
+    || grep -q "mcsort_server listening" "${work}/server0.log"; then
+  echo "out-of-range MCSORT_PORT not refused (exit ${rc}):" >&2
+  cat "${work}/server0.log" >&2
+  exit 1
+fi
+echo "refused: $(head -1 "${work}/server0.log")"
+
 echo "=== starting mcsort_server on 127.0.0.1:${port} (${rows} rows) ==="
 start_server "${work}/server1.log"
+grep -q "\[mcsort\] loaded calibration from" "${work}/server1.log" || {
+  echo "server did not load \$MCSORT_CALIBRATION:" >&2
+  cat "${work}/server1.log" >&2
+  exit 1
+}
 
 echo "=== running net_probe ==="
 MCSORT_PORT="${bound_port}" "${probe_bin}"

@@ -1,6 +1,6 @@
-// Environment-variable knob parsing shared by the service layer and the
-// benchmark harness, so every binary reads the same spellings (e.g.
-// MCSORT_RHO, MCSORT_THREADS) identically.
+// Environment-variable parsing primitives shared by the process options
+// tree (net/process_options.h), the tools and the benchmark harness, so
+// every binary parses a knob the same way.
 #ifndef MCSORT_COMMON_ENV_H_
 #define MCSORT_COMMON_ENV_H_
 
@@ -31,19 +31,9 @@ inline std::string EnvStr(const char* name, const char* fallback) {
   return env != nullptr && env[0] != '\0' ? env : fallback;
 }
 
-// The per-knob getters (host/port/rho/data-dir/calibration-path/...) that
-// used to live here moved into the typed process config —
-// common/options.h's ExecOptions::FromEnv() / ServerOptions::FromEnv() —
-// so the MCSORT_* spellings are parsed in exactly one place. This header
-// keeps only the raw parsing primitives.
-
-// Sort-kernel override (debugging aid, mirrors MCSORT_RHO): MCSORT_KERNELS
-// is a comma-separated allow-list over {merge (alias simd), counting,
-// radix}. It restricts ROGA's kernel-choice dimension, and when it names
-// exactly one kernel the executor forces every round to it, over the
-// plan's annotation. Parsed by
-// KernelMaskFromEnv (massage/plan.h), which owns the SortKernel names;
-// this header only documents the spelling next to its sibling knobs.
+// In library code only net::ProcessOptions::FromEnv calls these, once per
+// binary, plus the two reads its header names (MCSORT_CALIBRATION,
+// MCSORT_KERNELS); a CI step enforces it.
 
 }  // namespace mcsort
 

@@ -25,10 +25,6 @@ FaultInjector FaultInjector::FromString(const char* spec) {
   return FaultInjector();
 }
 
-FaultInjector FaultInjector::FromEnv() {
-  return FromString(std::getenv("MCSORT_FAULT"));
-}
-
 FaultInjector::Kind FaultInjector::Poll() {
   if (kind_ == Kind::kNone) return Kind::kNone;
   const uint64_t boundary =

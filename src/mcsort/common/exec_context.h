@@ -13,9 +13,10 @@
 //     chosen plan's estimated scratch; over budget it degrades to a
 //     narrower-bank plan (re-running ROGA with a bank cap) instead of
 //     failing the query;
-//   * fault injection: an env-driven FaultInjector (MCSORT_FAULT) forces
-//     cancellation, deadline expiry, or allocation failure at round
-//     boundaries so the unwind paths are exercised under TSan/ASan.
+//   * fault injection: a FaultInjector forces cancellation, deadline
+//     expiry, or allocation failure at round boundaries so the unwind
+//     paths are exercised under TSan/ASan (exec_context_test builds one
+//     from MCSORT_FAULT for the CI fault matrix).
 //
 // An ExecContext is cheap to copy; copies share the cancellation flag and
 // the injected-fault cell, so a context handed to the executor observes
@@ -87,8 +88,6 @@ class FaultInjector {
   // third round boundary. Unrecognized spellings yield a disabled
   // injector.
   static FaultInjector FromString(const char* spec);
-  // FromString(getenv("MCSORT_FAULT")); disabled when unset.
-  static FaultInjector FromEnv();
 
   bool enabled() const { return kind_ != Kind::kNone; }
   Kind kind() const { return kind_; }

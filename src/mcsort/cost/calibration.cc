@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "mcsort/common/bits.h"
-#include "mcsort/common/options.h"
+#include "mcsort/common/env.h"
 #include "mcsort/common/logging.h"
 #include "mcsort/common/random.h"
 #include "mcsort/common/timer.h"
@@ -405,7 +405,8 @@ CostParams* calibrated_params = nullptr;
 
 const CostParams& CalibratedParams() {
   std::call_once(calibrated_params_once, [] {
-    const std::string path = ExecOptions::FromEnv().calibration_path;
+    const std::string path =
+        EnvStr("MCSORT_CALIBRATION", "mcsort_calibration.txt");
     CostParams params = CostParams::Default();
     if (LoadParams(path.c_str(), &params)) {
       std::fprintf(stderr, "[mcsort] loaded calibration from %s\n",

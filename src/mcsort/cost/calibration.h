@@ -51,12 +51,14 @@ struct CalibrationOptions {
 CostParams Calibrate(const CalibrationOptions& options = {});
 
 // Returns lazily calibrated process-wide parameters. On first call, loads
-// cached constants from $MCSORT_CALIBRATION_FILE (alias:
-// $MCSORT_CALIBRATION; default "mcsort_calibration.txt" in the working
-// directory) if present; otherwise calibrates with default options and
-// writes the cache, so a suite of benchmark binaries calibrates only once
-// per machine. Thread-safe: the load/calibrate runs exactly once behind
-// std::call_once; concurrent first callers block until it completes.
+// cached constants from $MCSORT_CALIBRATION (default
+// "mcsort_calibration.txt" in the working directory) if present; otherwise
+// calibrates with default options and writes the cache, so a suite of
+// benchmark binaries calibrates only once per machine. The cache is
+// process-wide, so it reads its file's name itself rather than through
+// the process options tree (net/process_options.h). Thread-safe: the
+// load/calibrate runs exactly once behind std::call_once; concurrent
+// first callers block until it completes.
 const CostParams& CalibratedParams();
 
 // Process-wide cost model over CalibratedParams(), constructed exactly

@@ -10,7 +10,6 @@
 #include "mcsort/engine/window.h"
 #include "mcsort/scan/bitvector.h"
 #include "mcsort/scan/lookup.h"
-#include "mcsort/sort/external/external_sort.h"
 #include "mcsort/storage/dictionary.h"
 
 namespace mcsort {
@@ -348,13 +347,7 @@ ExecResult QueryExecutor::ExecuteOnce(const QuerySpec& spec,
   timer.Restart();
   MultiColumnSortResult sorted;
   if (spill_slice_rows > 0) {
-    external::ExternalSortOptions ext_options;
-    ext_options.dir = options_.spill.dir;
-    ext_options.slice_rows = spill_slice_rows;
-    ext_options.block_rows = options_.spill.block_rows;
-    ext_options.prefetch = options_.spill.prefetch;
-    ext_options.io_threads = options_.spill.io_threads;
-    external::ExternalSorter ext(&sorter_, ext_options);
+    external::ExternalSorter ext(&sorter_, options_.spill, spill_slice_rows);
     external::ExternalSortResult spilled = ext.Sort(inputs, plan, ctx);
     result.spilled = true;
     result.spill_runs = spilled.num_runs;

@@ -24,6 +24,7 @@
 #include "mcsort/engine/multi_column_sorter.h"
 #include "mcsort/plan/roga.h"
 #include "mcsort/scan/byteslice_scan.h"
+#include "mcsort/sort/external/external_sort.h"
 #include "mcsort/storage/table.h"
 
 namespace mcsort {
@@ -221,17 +222,6 @@ struct QueryResult {
   double rest_seconds() const {  // the paper's non-MCS bucket
     return scan_seconds + materialize_seconds + post_seconds;
   }
-};
-
-// Spill (external sort) configuration of one executor — the engine-level
-// mirror of ExecOptions' MCSORT_SPILL_* knobs (common/options.h).
-struct SpillConfig {
-  bool enabled = true;
-  std::string dir = "/tmp/mcsort-spill";
-  // Double-buffered async block prefetch during the merge phase.
-  bool prefetch = true;
-  int io_threads = 2;
-  size_t block_rows = size_t{1} << 16;
 };
 
 struct ExecutorOptions {

@@ -16,7 +16,6 @@
 #include <cstring>
 #include <utility>
 
-#include "mcsort/common/options.h"
 #include "mcsort/common/timer.h"
 #include "mcsort/dist/merge_keys.h"
 
@@ -25,17 +24,18 @@ namespace net {
 
 using Clock = std::chrono::steady_clock;
 
-ServerOptions ServerOptions::FromEnv() {
-  // Delegate to the typed process config (common/options.h) — one parser
-  // for the MCSORT_HOST / MCSORT_PORT / MCSORT_MAX_CONNS spellings.
-  const mcsort::ServerOptions env = mcsort::ServerOptions::FromEnv();
-  ServerOptions options;
-  options.host = env.host;
-  options.port = env.port;
-  options.max_connections = env.max_connections;
-  options.scratch_budget_bytes = ExecOptions::FromEnv().scratch_budget_bytes;
-  return options;
-}
+// Per-connection limits, fixed for every server. The payload cap and the
+// two timeouts guard against peers that send too much or stall.
+constexpr size_t kMaxPayloadBytes = size_t{16} << 20;
+// Element bytes per RESULT frame.
+constexpr size_t kResultChunkBytes = size_t{256} << 10;
+// A connection with an incomplete inbound frame or unflushed outbound
+// bytes that makes no progress this long is closed (net.timeouts).
+constexpr double kIoTimeoutSeconds = 30;
+// A fully idle connection (no in-flight query, empty buffers) is closed
+// after this long.
+constexpr double kIdleTimeoutSeconds = 600;
+constexpr char kServerName[] = "mcsort";
 
 // ---------------------------------------------------------------------------
 // Internal state
@@ -447,7 +447,7 @@ void McsortServer::HandleAccept() {
     }
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    auto conn = std::make_shared<Conn>(options_.max_payload_bytes);
+    auto conn = std::make_shared<Conn>(kMaxPayloadBytes);
     conn->fd = fd;
     conn->id = next_conn_id_++;
     conn->last_activity = Clock::now();
@@ -602,11 +602,9 @@ void McsortServer::SweepTimeouts() {
     }
     const double idle =
         std::chrono::duration<double>(now - conn->last_activity).count();
-    if (io_pending && options_.io_timeout_seconds > 0 &&
-        idle > options_.io_timeout_seconds) {
+    if (io_pending && idle > kIoTimeoutSeconds) {
       timed_out.push_back(conn);
-    } else if (!io_pending && !running && options_.idle_timeout_seconds > 0 &&
-               idle > options_.idle_timeout_seconds) {
+    } else if (!io_pending && !running && idle > kIdleTimeoutSeconds) {
       idle_out.push_back(conn);
     }
   }
@@ -686,7 +684,7 @@ void McsortServer::DispatchFrame(const std::shared_ptr<Conn>& conn,
       conn->hello_done = true;
       HelloReply reply;
       reply.capabilities = kCapMergeKeys;
-      reply.server_name = options_.server_name;
+      reply.server_name = kServerName;
       reply.default_table = service_->DefaultTableName();
       std::vector<std::string> frames;
       frames.push_back(SealFrame(FrameType::kHelloAck, 0, id,
@@ -1038,13 +1036,13 @@ void McsortServer::WorkerThread() {
         extras.group_sizes = std::move(keys.group_sizes);
         extras.global_oids = std::move(keys.global_oids);
         BuildResultFrames(job.request_id, run.result,
-                          options_.result_chunk_bytes, &frames, &extras);
+                          kResultChunkBytes, &frames, &extras);
         FinishJob(job, std::move(frames));
         continue;
       }
       counters_->queries_ok->Increment();
       BuildResultFrames(job.request_id, run.result,
-                        options_.result_chunk_bytes, &frames);
+                        kResultChunkBytes, &frames);
     } else {
       // The query's own Status, serialized with the one wire mapping, so a
       // remote peer sees exactly what a local caller would.

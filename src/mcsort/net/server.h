@@ -66,26 +66,11 @@ struct ServerOptions {
   // Blocking executor workers (each runs one QuerySession::Execute at a
   // time; intra-query parallelism comes from the service's morsel pool).
   int exec_threads = 2;
-  size_t max_payload_bytes = 16u << 20;
-  // Result chunk granularity (element bytes per RESULT frame).
-  size_t result_chunk_bytes = 256u << 10;
-  // Stalled-I/O timeout: a connection with an incomplete inbound frame or
-  // unflushed outbound bytes that makes no progress this long is closed
-  // (net.timeouts). <= 0 disables.
-  double io_timeout_seconds = 30;
-  // Fully-idle connection timeout (no in-flight query, empty buffers).
-  // <= 0 disables.
-  double idle_timeout_seconds = 600;
   // Grace period RequestDrain allows in-flight queries before cancelling.
   double drain_timeout_seconds = 10;
-  std::string server_name = "mcsort";
   // Per-query scratch budget (bytes) threaded into every ExecContext;
   // over-budget plans degrade or spill (engine/query.h). 0 = unlimited.
   uint64_t scratch_budget_bytes = 0;
-
-  // Defaults with MCSORT_HOST / MCSORT_PORT / MCSORT_MAX_CONNS /
-  // MCSORT_SCRATCH_BUDGET applied.
-  static ServerOptions FromEnv();
 };
 
 class McsortServer {

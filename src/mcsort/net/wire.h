@@ -55,7 +55,8 @@ constexpr uint8_t kMinProtocolVersion = 3;
 // they advertise features, they never change existing encodings).
 constexpr uint32_t kCapMergeKeys = 1u << 0;  // server: RESULT sections 6-9
 constexpr size_t kHeaderSize = 24;
-// Hard protocol ceiling on one frame's payload; ServerOptions may lower it.
+// Hard protocol ceiling on one frame's payload; the server's own cap
+// (kMaxPayloadBytes in server.cc) is lower.
 constexpr size_t kMaxPayloadCap = size_t{1} << 26;  // 64 MiB
 
 enum class FrameType : uint8_t {

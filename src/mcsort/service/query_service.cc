@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "mcsort/common/bits.h"
-#include "mcsort/common/options.h"
 #include "mcsort/common/timer.h"
 #include "mcsort/cost/calibration.h"
 #include "mcsort/io/fs_util.h"
@@ -14,19 +13,6 @@
 #include "mcsort/service/signature.h"
 
 namespace mcsort {
-
-ServiceOptions ServiceOptions::FromEnv() {
-  // Delegate to the typed process config (common/options.h) — one parser
-  // for the MCSORT_RHO / MCSORT_THREADS spellings.
-  const ExecOptions env = ExecOptions::FromEnv();
-  ServiceOptions options;
-  options.rho = env.rho;
-  options.threads = env.threads;
-  options.spill.enabled = env.spill_enabled;
-  options.spill.dir = env.spill_dir;
-  options.spill.prefetch = env.spill_prefetch;
-  return options;
-}
 
 QuerySession::QuerySession(QueryService* service, const Table& table,
                            uint64_t id, const ExecutorOptions& options)

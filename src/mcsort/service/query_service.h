@@ -70,13 +70,9 @@ struct ServiceOptions {
   // given (tests and cold starts).
   bool use_calibration = false;
   CostParams params = CostParams::Default();
-  // External-sort fallback shared by every session (engine/query.h).
+  // External-sort fallback shared by every session
+  // (sort/external/external_sort.h).
   SpillConfig spill;
-
-  // Defaults with environment overrides applied: MCSORT_RHO (the same
-  // knob bench/fig12_rho sweeps), MCSORT_THREADS, and the MCSORT_SPILL_*
-  // family.
-  static ServiceOptions FromEnv();
 };
 
 class QueryService;

@@ -74,20 +74,6 @@ TEST(FaultInjectorTest, ParsesSpecStrings) {
   EXPECT_FALSE(FaultInjector::FromString("").enabled());
 }
 
-TEST(FaultInjectorTest, FromEnvReadsMcsortFault) {
-  // Save/restore: the CI fault matrix sets MCSORT_FAULT for the whole
-  // binary, and EnvDrivenFaultMatrix (below) must still see it.
-  const char* prior = getenv("MCSORT_FAULT");
-  const std::string saved = prior ? prior : "";
-  setenv("MCSORT_FAULT", "alloc@5", 1);
-  const FaultInjector injector = FaultInjector::FromEnv();
-  EXPECT_EQ(injector.kind(), FaultInjector::Kind::kAlloc);
-  EXPECT_EQ(injector.trigger(), 5u);
-  unsetenv("MCSORT_FAULT");
-  EXPECT_FALSE(FaultInjector::FromEnv().enabled());
-  if (prior != nullptr) setenv("MCSORT_FAULT", saved.c_str(), 1);
-}
-
 TEST(FaultInjectorTest, FiresExactlyOnceAtTriggerBoundary) {
   FaultInjector injector(FaultInjector::Kind::kCancel, 3);
   EXPECT_EQ(injector.Poll(), FaultInjector::Kind::kNone);  // boundary 1
@@ -419,7 +405,8 @@ TEST(FaultInjectionTest, InjectedDeadlineSurfacesTypedStatus) {
 // assert the stack unwinds with the matching typed status (or absorbs an
 // alloc fault by degrading). Without MCSORT_FAULT this is a no-op pass.
 TEST(FaultInjectionTest, EnvDrivenFaultMatrix) {
-  FaultInjector injector = FaultInjector::FromEnv();
+  FaultInjector injector =
+      FaultInjector::FromString(std::getenv("MCSORT_FAULT"));
   if (!injector.enabled()) GTEST_SKIP() << "MCSORT_FAULT not set";
   const Table table = BigTable(200'000, 139);
   ThreadPool pool(2);

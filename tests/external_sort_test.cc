@@ -33,7 +33,6 @@
 namespace mcsort {
 namespace {
 
-using external::ExternalSortOptions;
 using external::ExternalSortResult;
 using external::ExternalSorter;
 using external::RunBlock;
@@ -218,11 +217,10 @@ TEST(ExternalSorterTest, BitIdenticalAcrossSliceSizes) {
   TempSpillDir dir("slices");
   // n (single run), n/3, and the acceptance point n/8.
   for (size_t slice_rows : {n, n / 3, n / 8}) {
-    ExternalSortOptions options;
-    options.dir = dir.path;
-    options.slice_rows = slice_rows;
-    options.block_rows = 4096;
-    ExternalSorter external(&sorter, options);
+    SpillConfig config;
+    config.dir = dir.path;
+    config.block_rows = 4096;
+    ExternalSorter external(&sorter, config, slice_rows);
     const ExternalSortResult result =
         external.Sort(inputs, plan, ExecContext::Default());
     ASSERT_TRUE(result.status.ok())
@@ -246,19 +244,18 @@ TEST(ExternalSorterTest, SyncReadsMatchPrefetch) {
   MultiColumnSorter sorter(&pool);
 
   TempSpillDir dir("sync");
-  ExternalSortOptions options;
-  options.dir = dir.path;
-  options.slice_rows = n / 5;
-  options.block_rows = 2048;
+  SpillConfig config;
+  config.dir = dir.path;
+  config.block_rows = 2048;
 
-  options.prefetch = true;
-  ExternalSorter prefetching(&sorter, options);
+  config.prefetch = true;
+  ExternalSorter prefetching(&sorter, config, n / 5);
   const ExternalSortResult with_prefetch =
       prefetching.Sort(inputs, plan, ExecContext::Default());
   ASSERT_TRUE(with_prefetch.status.ok());
 
-  options.prefetch = false;
-  ExternalSorter synchronous(&sorter, options);
+  config.prefetch = false;
+  ExternalSorter synchronous(&sorter, config, n / 5);
   const ExternalSortResult without =
       synchronous.Sort(inputs, plan, ExecContext::Default());
   ASSERT_TRUE(without.status.ok());
@@ -278,9 +275,18 @@ TEST(ExternalSorterTest, RejectsBadOptionsAndWideKeys) {
   TempSpillDir dir("reject");
 
   {
-    ExternalSortOptions options;  // slice_rows left 0
-    options.dir = dir.path;
-    ExternalSorter external(&sorter, options);
+    SpillConfig config;
+    config.dir = dir.path;
+    ExternalSorter external(&sorter, config, /*slice_rows=*/0);
+    const ExternalSortResult result =
+        external.Sort(inputs, plan, ExecContext::Default());
+    EXPECT_EQ(result.status.code, StatusCode::kInvalidArgument);
+  }
+  {
+    SpillConfig config;
+    config.dir = dir.path;
+    config.block_rows = 0;
+    ExternalSorter external(&sorter, config, 256);
     const ExternalSortResult result =
         external.Sort(inputs, plan, ExecContext::Default());
     EXPECT_EQ(result.status.code, StatusCode::kInvalidArgument);
@@ -297,10 +303,9 @@ TEST(ExternalSorterTest, RejectsBadOptionsAndWideKeys) {
         {&wide[1], SortOrder::kAscending},
         {&wide[2], SortOrder::kAscending}};
     EXPECT_FALSE(external::CanExternalSort(wide_inputs));
-    ExternalSortOptions options;
-    options.dir = dir.path;
-    options.slice_rows = 256;
-    ExternalSorter external(&sorter, options);
+    SpillConfig config;
+    config.dir = dir.path;
+    ExternalSorter external(&sorter, config, 256);
     const ExternalSortResult result = external.Sort(
         wide_inputs, MassagePlan::ColumnAtATime({48, 48, 48}),
         ExecContext::Default());
@@ -308,10 +313,9 @@ TEST(ExternalSorterTest, RejectsBadOptionsAndWideKeys) {
   }
   {
     // An uncreatable spill dir is a typed kUnavailable, not a crash.
-    ExternalSortOptions options;
-    options.dir = "/dev/null/spill";
-    options.slice_rows = 256;
-    ExternalSorter external(&sorter, options);
+    SpillConfig config;
+    config.dir = "/dev/null/spill";
+    ExternalSorter external(&sorter, config, 256);
     const ExternalSortResult result =
         external.Sort(inputs, plan, ExecContext::Default());
     EXPECT_EQ(result.status.code, StatusCode::kUnavailable);
@@ -325,10 +329,9 @@ TEST(ExternalSorterTest, EmptyInputIsTrivialOk) {
   EncodedColumn empty(10, 0);
   const std::vector<MassageInput> inputs = {{&empty, SortOrder::kAscending}};
   TempSpillDir dir("empty");
-  ExternalSortOptions options;
-  options.dir = dir.path;
-  options.slice_rows = 16;
-  ExternalSorter external(&sorter, options);
+  SpillConfig config;
+  config.dir = dir.path;
+  ExternalSorter external(&sorter, config, 16);
   const ExternalSortResult result = external.Sort(
       inputs, MassagePlan::ColumnAtATime({10}), ExecContext::Default());
   EXPECT_TRUE(result.status.ok());
@@ -350,11 +353,10 @@ TEST(ExternalSorterTest, InjectedCancelLeavesNoRunFiles) {
   MultiColumnSorter sorter(&pool);
 
   TempSpillDir dir("cancel");
-  ExternalSortOptions options;
-  options.dir = dir.path;
-  options.slice_rows = n / 8;
-  options.block_rows = 4096;
-  ExternalSorter external(&sorter, options);
+  SpillConfig config;
+  config.dir = dir.path;
+  config.block_rows = 4096;
+  ExternalSorter external(&sorter, config, n / 8);
 
   FaultInjector injector(FaultInjector::Kind::kCancel, 4);
   ExecContext ctx;
@@ -378,11 +380,10 @@ TEST(ExternalSorterTest, ConcurrentCancelLeavesNoRunFiles) {
   MultiColumnSorter sorter(&pool);
 
   TempSpillDir dir("race");
-  ExternalSortOptions options;
-  options.dir = dir.path;
-  options.slice_rows = n / 16;
-  options.block_rows = 1024;  // frequent stop checks in the merge loop
-  ExternalSorter external(&sorter, options);
+  SpillConfig config;
+  config.dir = dir.path;
+  config.block_rows = 1024;  // frequent stop checks in the merge loop
+  ExternalSorter external(&sorter, config, n / 16);
 
   CancellationSource source;
   ExecContext ctx;

@@ -5,7 +5,8 @@
 // (typed ERROR, server survives), wire CANCEL aborting an in-flight
 // multi-million-row sort with bounded latency, QUERY deadlines expiring
 // mid-sort, typed BUSY under both per-connection pipelining and the
-// connection cap, metrics consistency, and graceful drain.
+// connection cap, metrics consistency, and graceful drain. Also the
+// process options tree: each MCSORT_* spelling lands in exactly its field.
 //
 // Latency bounds are generous (seconds): the suite must also pass under
 // TSan/ASan, where everything runs an order of magnitude slower. Tests
@@ -13,6 +14,8 @@
 // property under test is bounded unwinding, not an SLO.
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -29,6 +32,7 @@
 #include "mcsort/common/timer.h"
 #include "mcsort/net/client.h"
 #include "mcsort/net/fuzz_corpus.h"
+#include "mcsort/net/process_options.h"
 #include "mcsort/net/server.h"
 #include "mcsort/service/query_service.h"
 
@@ -870,6 +874,187 @@ TEST_F(NetRobustnessTest, GracefulDrainFinishesInFlightQueries) {
   // New connections are refused outright once draining.
   McsortClient late(client_options);
   EXPECT_FALSE(late.Connect());
+}
+
+// --------------------------------------------------------------------------
+// ProcessOptions: the one environment parser
+// --------------------------------------------------------------------------
+
+// Every spelling ProcessOptions::FromEnv reads.
+constexpr const char* kKnobs[] = {
+    "MCSORT_THREADS",          "MCSORT_RHO",
+    "MCSORT_SPILL",            "MCSORT_SPILL_DIR",
+    "MCSORT_SPILL_PREFETCH",   "MCSORT_DATA_DIR",
+    "MCSORT_MMAP",             "MCSORT_MEMORY_BUDGET",
+    "MCSORT_COMPACT",          "MCSORT_COMPACT_INTERVAL_MS",
+    "MCSORT_COMPACT_MIN_ROWS", "MCSORT_HOST",
+    "MCSORT_PORT",             "MCSORT_MAX_CONNS",
+    "MCSORT_SCRATCH_BUDGET",   "MCSORT_N",
+};
+
+// Unsets every knob for the test's lifetime, then restores each one's
+// prior state, so a variable set around the test binary survives it.
+class ScopedKnobs {
+ public:
+  ScopedKnobs() {
+    for (const char* name : kKnobs) {
+      const char* value = std::getenv(name);
+      saved_.emplace_back(value != nullptr, value != nullptr ? value : "");
+      unsetenv(name);
+    }
+  }
+  ~ScopedKnobs() {
+    for (size_t i = 0; i < saved_.size(); ++i) {
+      if (saved_[i].first) setenv(kKnobs[i], saved_[i].second.c_str(), 1);
+    }
+  }
+  ScopedKnobs(const ScopedKnobs&) = delete;
+  ScopedKnobs& operator=(const ScopedKnobs&) = delete;
+
+ private:
+  std::vector<std::pair<bool, std::string>> saved_;  // {was set, value}
+};
+
+// Parses with exactly one knob set.
+Status ParseWith(const char* name, const char* value, ProcessOptions* out) {
+  setenv(name, value, 1);
+  const Status status = ProcessOptions::FromEnv(out);
+  unsetenv(name);
+  return status;
+}
+
+// The tree's settable values plus the layer fields next to them, one
+// "name=value" string each, so a mismatch names the field.
+std::vector<std::string> Fields(const ProcessOptions& o) {
+  char rho[32];
+  std::snprintf(rho, sizeof(rho), "%.17g", o.service.rho);
+  const auto u = [](uint64_t v) { return std::to_string(v); };
+  return {
+      "service.threads=" + u(o.service.threads),
+      std::string("service.rho=") + rho,
+      "service.use_calibration=" + u(o.service.use_calibration),
+      "service.spill.enabled=" + u(o.service.spill.enabled),
+      "service.spill.dir=" + o.service.spill.dir,
+      "service.spill.prefetch=" + u(o.service.spill.prefetch),
+      "service.spill.io_threads=" + u(o.service.spill.io_threads),
+      "service.spill.block_rows=" + u(o.service.spill.block_rows),
+      "catalog.dir=" + o.catalog.dir,
+      "catalog.load.mode=" + u(static_cast<int>(o.catalog.load.mode)),
+      "catalog.load.verify_checksums=" + u(o.catalog.load.verify_checksums),
+      "catalog.memory_budget_bytes=" + u(o.catalog.memory_budget_bytes),
+      "compaction.enabled=" + u(o.compaction.enabled),
+      "compaction.interval_ms=" + u(o.compaction.interval_ms),
+      "compaction.min_delta_rows=" + u(o.compaction.min_delta_rows),
+      "server.host=" + o.server.host,
+      "server.port=" + u(o.server.port),
+      "server.max_connections=" + u(o.server.max_connections),
+      "server.max_inflight_queries=" + u(o.server.max_inflight_queries),
+      "server.exec_threads=" + u(o.server.exec_threads),
+      "server.scratch_budget_bytes=" + u(o.server.scratch_budget_bytes),
+      "demo_rows=" + u(o.demo_rows),
+  };
+}
+
+TEST(ProcessOptionsTest, UnsetEnvironmentGivesLayerDefaults) {
+  ScopedKnobs knobs;
+  ProcessOptions parsed;
+  parsed.service.threads = 99;  // FromEnv starts over from the defaults
+  parsed.server.host = "stale";
+  ASSERT_TRUE(ProcessOptions::FromEnv(&parsed).ok());
+
+  ProcessOptions layers;
+  layers.service = ServiceOptions{};
+  layers.catalog = CatalogOptions{};
+  layers.compaction = delta::CompactionOptions{};
+  layers.server = ServerOptions{};
+  EXPECT_EQ(Fields(parsed), Fields(layers));
+}
+
+TEST(ProcessOptionsTest, EachSpellingLandsInExactlyItsField) {
+  struct Case {
+    const char* name;
+    const char* value;
+    void (*apply)(ProcessOptions*);  // the one field the knob must change
+  };
+  const Case cases[] = {
+      {"MCSORT_THREADS", "7",
+       [](ProcessOptions* o) { o->service.threads = 7; }},
+      {"MCSORT_RHO", "0.05",
+       [](ProcessOptions* o) { o->service.rho = 0.05; }},
+      {"MCSORT_SPILL", "0",
+       [](ProcessOptions* o) { o->service.spill.enabled = false; }},
+      {"MCSORT_SPILL_DIR", "/tmp/knob-spill",
+       [](ProcessOptions* o) { o->service.spill.dir = "/tmp/knob-spill"; }},
+      {"MCSORT_SPILL_PREFETCH", "0",
+       [](ProcessOptions* o) { o->service.spill.prefetch = false; }},
+      {"MCSORT_DATA_DIR", "/tmp/knob-data",
+       [](ProcessOptions* o) { o->catalog.dir = "/tmp/knob-data"; }},
+      {"MCSORT_MMAP", "1",
+       [](ProcessOptions* o) {
+         o->catalog.load.mode = SnapshotLoadMode::kMmap;
+       }},
+      {"MCSORT_MEMORY_BUDGET", "12345",
+       [](ProcessOptions* o) { o->catalog.memory_budget_bytes = 12345; }},
+      {"MCSORT_COMPACT", "1",
+       [](ProcessOptions* o) { o->compaction.enabled = true; }},
+      {"MCSORT_COMPACT_INTERVAL_MS", "250",
+       [](ProcessOptions* o) { o->compaction.interval_ms = 250; }},
+      {"MCSORT_COMPACT_MIN_ROWS", "77",
+       [](ProcessOptions* o) { o->compaction.min_delta_rows = 77; }},
+      {"MCSORT_HOST", "10.1.2.3",
+       [](ProcessOptions* o) { o->server.host = "10.1.2.3"; }},
+      {"MCSORT_PORT", "65535",
+       [](ProcessOptions* o) { o->server.port = 65535; }},
+      {"MCSORT_MAX_CONNS", "9",
+       [](ProcessOptions* o) { o->server.max_connections = 9; }},
+      {"MCSORT_SCRATCH_BUDGET", "65536",
+       [](ProcessOptions* o) { o->server.scratch_budget_bytes = 65536; }},
+      {"MCSORT_N", "4096", [](ProcessOptions* o) { o->demo_rows = 4096; }},
+  };
+  ASSERT_EQ(std::size(cases), std::size(kKnobs));
+  ScopedKnobs knobs;
+  for (const Case& c : cases) {
+    ProcessOptions parsed;
+    const Status status = ParseWith(c.name, c.value, &parsed);
+    ASSERT_TRUE(status.ok()) << c.name << ": " << status.ToString();
+    ProcessOptions expected;
+    c.apply(&expected);
+    EXPECT_NE(Fields(expected), Fields(ProcessOptions{})) << c.name;
+    EXPECT_EQ(Fields(parsed), Fields(expected)) << c.name << "=" << c.value;
+  }
+
+  // A malformed number or 0 means unset, and a switch set to its default
+  // changes nothing.
+  const std::pair<const char*, const char*> unchanged[] = {
+      {"MCSORT_PORT", "abc"}, {"MCSORT_THREADS", "0"},
+      {"MCSORT_MAX_CONNS", "x"}, {"MCSORT_SPILL", "1"},
+      {"MCSORT_COMPACT", "0"}, {"MCSORT_MMAP", "0"},
+  };
+  for (const auto& [name, value] : unchanged) {
+    ProcessOptions parsed;
+    ASSERT_TRUE(ParseWith(name, value, &parsed).ok()) << name;
+    EXPECT_EQ(Fields(parsed), Fields(ProcessOptions{})) << name << "=" << value;
+  }
+}
+
+TEST(ProcessOptionsTest, OutOfRangeValueIsAnErrorNamingTheVariable) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"MCSORT_PORT", "65536"},
+      {"MCSORT_PORT", "70000"},
+      {"MCSORT_MAX_CONNS", "4294967296"},
+      {"MCSORT_MAX_CONNS", "3000000000"},
+      {"MCSORT_THREADS", "4294967297"},
+  };
+  ScopedKnobs knobs;
+  for (const auto& [name, value] : cases) {
+    ProcessOptions parsed;
+    parsed.demo_rows = 1;  // left as is on error
+    const Status status = ParseWith(name, value, &parsed);
+    EXPECT_EQ(status.code, StatusCode::kInvalidArgument)
+        << name << "=" << value;
+    EXPECT_NE(status.detail.find(name), std::string::npos) << status.detail;
+    EXPECT_EQ(parsed.demo_rows, 1u);
+  }
 }
 
 }  // namespace

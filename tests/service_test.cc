@@ -1,7 +1,7 @@
 // Query-service tests: multi-session stress (mixed GROUP BY / ORDER BY /
 // PARTITION BY) asserting results identical to serial execution, plan-cache
 // hit-rate on repeated queries, admission-control bounds, the shared
-// calibration singleton, environment overrides, and the metrics registry.
+// calibration singleton, and the metrics registry.
 //
 // Determinism notes: the service runs with rho = 0 (the "N/S" exhaustive
 // search — no wall-clock stopwatch), so every session picks the same plan.
@@ -441,20 +441,8 @@ TEST(MetricsTest, CountersAreThreadSafeAndRegistryStable) {
 }
 
 // --------------------------------------------------------------------------
-// Configuration sharing: env overrides + the calibration singleton
+// Configuration sharing: the calibration singleton
 // --------------------------------------------------------------------------
-
-TEST(ServiceConfigTest, RhoAndThreadsComeFromEnvironment) {
-  setenv("MCSORT_RHO", "0.05", 1);
-  setenv("MCSORT_THREADS", "7", 1);
-  const ServiceOptions from_env = ServiceOptions::FromEnv();
-  EXPECT_DOUBLE_EQ(from_env.rho, 0.05);
-  EXPECT_EQ(from_env.threads, 7);
-  unsetenv("MCSORT_RHO");
-  unsetenv("MCSORT_THREADS");
-  const ServiceOptions defaults = ServiceOptions::FromEnv();
-  EXPECT_DOUBLE_EQ(defaults.rho, 0.001);
-}
 
 TEST(ServiceConfigTest, SharedCostModelLoadsCalibrationFileExactlyOnce) {
   // Point the process-wide singleton at a canned calibration file with a
@@ -464,7 +452,7 @@ TEST(ServiceConfigTest, SharedCostModelLoadsCalibrationFileExactlyOnce) {
   canned.scan_cycles = 7.25;
   const char* path = "service_test_calibration.txt";
   ASSERT_TRUE(SaveParams(canned, path));
-  setenv("MCSORT_CALIBRATION_FILE", path, 1);
+  setenv("MCSORT_CALIBRATION", path, 1);
 
   const CostModel* first = nullptr;
   const CostModel* second = nullptr;
@@ -483,7 +471,7 @@ TEST(ServiceConfigTest, SharedCostModelLoadsCalibrationFileExactlyOnce) {
   QueryService service(options);
   EXPECT_DOUBLE_EQ(service.params().scan_cycles, 7.25);
 
-  unsetenv("MCSORT_CALIBRATION_FILE");
+  unsetenv("MCSORT_CALIBRATION");
   std::remove(path);
 }
 

@@ -18,9 +18,10 @@
 // parse as integers, anything else as a string.
 //
 // Environment: MCSORT_HOST / MCSORT_PORT select the server (port
-// required); MCSORT_CONNECT_RETRIES (default 50 x 100ms) tolerates a
-// server still starting up. Exits 0 on success, 1 on a failed check, 2 on
-// usage/connect errors.
+// required; parsed with the rest of net::ProcessOptions);
+// MCSORT_CONNECT_RETRIES (default 50 x 100ms) tolerates a server still
+// starting up. Exits 0 on success, 1 on a failed check, 2 on usage/connect
+// errors or an out-of-range MCSORT_* value.
 #include <cctype>
 #include <chrono>
 #include <cstdio>
@@ -31,10 +32,10 @@
 #include <vector>
 
 #include "mcsort/common/env.h"
-#include "mcsort/common/options.h"
 #include "mcsort/common/random.h"
 #include "mcsort/delta/dml.h"
 #include "mcsort/net/client.h"
+#include "mcsort/net/process_options.h"
 
 namespace mcsort {
 namespace {
@@ -174,7 +175,12 @@ int main(int argc, char** argv) {
   const std::string table = argv[1];
   const std::string verb = argv[2];
 
-  const ServerOptions server_env = ServerOptions::FromEnv();
+  net::ProcessOptions env;
+  if (const Status parsed = net::ProcessOptions::FromEnv(&env); !parsed.ok()) {
+    std::fprintf(stderr, "mcsort_dml: %s\n", parsed.ToString().c_str());
+    return 2;
+  }
+  const net::ServerOptions& server_env = env.server;
   if (server_env.port == 0) {
     std::fprintf(stderr, "mcsort_dml: set MCSORT_PORT to the server port\n");
     return 2;

@@ -5,7 +5,8 @@
 //
 //   mcsort_ingest [options] <file.csv> <table-name>
 //
-//   --out DIR        snapshot root (default: $MCSORT_DATA_DIR or ".")
+//   --out DIR        snapshot root (default: $MCSORT_DATA_DIR, read with
+//                    the rest of net::ProcessOptions, or ".")
 //   --delim C        field delimiter (default ','; use --tsv for tabs)
 //   --tsv            shorthand for --delim TAB
 //   --no-header      first line is data; columns are named c0..cN
@@ -23,9 +24,9 @@
 #include <string>
 #include <vector>
 
-#include "mcsort/common/options.h"
 #include "mcsort/io/csv_ingest.h"
 #include "mcsort/io/snapshot.h"
+#include "mcsort/net/process_options.h"
 #include "mcsort/storage/table.h"
 
 namespace {
@@ -101,7 +102,12 @@ bool TablesIdentical(const Table& want, const Table& got, const char* mode) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string out_dir = mcsort::ExecOptions::FromEnv().data_dir;
+  net::ProcessOptions env;
+  if (const Status parsed = net::ProcessOptions::FromEnv(&env); !parsed.ok()) {
+    std::fprintf(stderr, "mcsort_ingest: %s\n", parsed.ToString().c_str());
+    return 2;
+  }
+  std::string out_dir = env.catalog.dir;
   if (out_dir.empty()) out_dir = ".";
   CsvIngestOptions options;
   bool verify = false;

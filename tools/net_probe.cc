@@ -7,10 +7,11 @@
 // first failing check.
 //
 // Environment: MCSORT_HOST / MCSORT_PORT select the server (port is
-// required), MCSORT_CONNECT_RETRIES (default 50 x 100ms) tolerates a
-// server still starting up. MCSORT_PROBE_TABLE targets the queries at a
-// named catalog table instead of the server default (the ingest smoke
-// test points this at a table mcsort_ingest wrote), and
+// required; parsed with the rest of net::ProcessOptions, so an
+// out-of-range value exits 2), MCSORT_CONNECT_RETRIES (default 50 x
+// 100ms) tolerates a server still starting up. MCSORT_PROBE_TABLE targets
+// the queries at a named catalog table instead of the server default (the
+// ingest smoke test points this at a table mcsort_ingest wrote), and
 // MCSORT_PROBE_SAVE_LOAD=1 additionally exercises the SAVE_TABLE /
 // LOAD_TABLE opcodes (requires the server to have MCSORT_DATA_DIR set).
 #include <arpa/inet.h>
@@ -25,9 +26,9 @@
 #include <thread>
 
 #include "mcsort/common/env.h"
-#include "mcsort/common/options.h"
 #include "mcsort/net/client.h"
 #include "mcsort/net/fuzz_corpus.h"
+#include "mcsort/net/process_options.h"
 
 namespace mcsort {
 namespace net {
@@ -169,9 +170,13 @@ int main() {
   using namespace mcsort;
   using namespace mcsort::net;
 
-  const mcsort::ServerOptions server_env = mcsort::ServerOptions::FromEnv();
-  const std::string host = server_env.host;
-  const uint16_t port = server_env.port;
+  ProcessOptions env;
+  if (const Status parsed = ProcessOptions::FromEnv(&env); !parsed.ok()) {
+    std::fprintf(stderr, "net_probe: %s\n", parsed.ToString().c_str());
+    return 2;
+  }
+  const std::string host = env.server.host;
+  const uint16_t port = env.server.port;
   if (port == 0) {
     std::fprintf(stderr, "net_probe: set MCSORT_PORT to the server port\n");
     return 2;
