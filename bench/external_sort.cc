@@ -1,16 +1,12 @@
 // External (spill) sort benchmark: what does sorting under a scratch
-// budget cost, and what does the double-buffered prefetch buy?
+// budget cost?
 //
-// Part 1 (budget sweep): a 4-column ORDER BY over MCSORT_N rows, executed
-// in memory first, then under scratch budgets of 1/2, 1/4, and 1/8 of the
-// plan's estimate — each over-budget run spills through the external
-// sorter (massaging disabled so the router cannot pick the degrade arm
-// and the comparison stays plan-for-plan). Reports run-generation and
-// merge time, run count, and spill footprint per budget.
-//
-// Part 2 (prefetch ablation): the external sorter driven directly at a
-// fixed slice size, with the async block loader on vs. off (synchronous
-// reads on the merge thread), at 1 and 2 IO threads.
+// Budget sweep: a 4-column ORDER BY over MCSORT_N rows, executed in memory
+// first, then under scratch budgets of 1/2, 1/4, and 1/8 of the plan's
+// estimate — each over-budget run spills through the external sorter
+// (massaging disabled so the router cannot pick the degrade arm and the
+// comparison stays plan-for-plan). Reports run-generation and merge time,
+// run count, and spill footprint per budget.
 //
 // With --verify (the spill_smoke.sh mode) every spilled result is checked
 // value-identical to the in-memory baseline — equal group bounds and the
@@ -162,49 +158,6 @@ int RunBudgetSweep(const Table& table, const std::string& spill_dir, int reps,
   return 0;
 }
 
-int RunPrefetchAblation(const Table& table, const std::string& spill_dir,
-                        int reps, ThreadPool* pool) {
-  const size_t n = table.row_count();
-  const std::vector<MassageInput> inputs = {
-      {&table.column("a"), SortOrder::kAscending},
-      {&table.column("b"), SortOrder::kAscending},
-      {&table.column("c"), SortOrder::kAscending},
-      {&table.column("d"), SortOrder::kAscending}};
-  const MassagePlan plan = MassagePlan::ColumnAtATime({16, 17, 18, 12});
-  MultiColumnSorter sorter(pool);
-
-  struct Mode {
-    const char* name;
-    bool prefetch;
-    int io_threads;
-  };
-  for (const Mode mode : {Mode{"sync reads      ", false, 0},
-                          Mode{"prefetch x1     ", true, 1},
-                          Mode{"prefetch x2     ", true, 2}}) {
-    SpillConfig config;
-    config.dir = spill_dir;
-    config.prefetch = mode.prefetch;
-    config.io_threads = mode.io_threads;
-    external::ExternalSorter ext(&sorter, config, n / 8);
-    double merge = 1e30, total = 1e30;
-    for (int r = 0; r < reps; ++r) {
-      Timer timer;
-      const external::ExternalSortResult result =
-          ext.Sort(inputs, plan, ExecContext::Default());
-      if (!result.status.ok()) {
-        std::fprintf(stderr, "%s failed: %s\n", mode.name,
-                     result.status.ToString().c_str());
-        return 1;
-      }
-      total = std::min(total, timer.Seconds());
-      merge = std::min(merge, result.merge_seconds);
-    }
-    std::printf("%s  %8.3f s total   merge %8.3f s\n", mode.name, total,
-                merge);
-  }
-  return 0;
-}
-
 }  // namespace
 }  // namespace mcsort
 
@@ -224,12 +177,5 @@ int main(int argc, char** argv) {
   const Table table = BenchTable(n, 2024);
   ThreadPool pool(2);
   std::printf("--- budget sweep (4-column ORDER BY, column-at-a-time) ---\n");
-  if (const int rc = RunBudgetSweep(table, spill_dir, reps, verify, &pool)) {
-    return rc;
-  }
-  std::printf("\n--- merge prefetch ablation (8 runs) ---\n");
-  if (const int rc = RunPrefetchAblation(table, spill_dir, reps, &pool)) {
-    return rc;
-  }
-  return 0;
+  return RunBudgetSweep(table, spill_dir, reps, verify, &pool);
 }

@@ -8,8 +8,9 @@
 // Every byte crosses a real TCP socket through the length-prefixed
 // binary protocol (wire.h) — nothing is short-circuited in-process.
 //
-// Set MCSORT_HOST / MCSORT_PORT to point the client at an already
-// running `mcsort_server` instead of the embedded one.
+// Set MCSORT_HOST (and MCSORT_PORT) to point the client at an already
+// running `mcsort_server` instead of the embedded one. A MCSORT_PORT that
+// is not a port exits 2 naming it, as the tools do.
 //
 // Build & run:  cmake -B build -G Ninja && cmake --build build
 //               ./build/examples/example_remote_query
@@ -20,6 +21,7 @@
 #include "mcsort/common/env.h"
 #include "mcsort/common/random.h"
 #include "mcsort/net/client.h"
+#include "mcsort/net/process_options.h"
 #include "mcsort/net/server.h"
 #include "mcsort/service/query_service.h"
 
@@ -47,6 +49,16 @@ Table SalesTable(size_t n) {
 }  // namespace
 
 int main() {
+  // The process options validate MCSORT_PORT; "remote" means MCSORT_HOST
+  // is set, which the parsed tree cannot tell from its default host.
+  ProcessOptions env;
+  const Status parsed = ProcessOptions::FromEnv(&env);
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "example_remote_query: %s\n",
+                 parsed.ToString().c_str());
+    return 2;
+  }
+  const bool remote = !EnvStr("MCSORT_HOST", "").empty();
   const size_t n = static_cast<size_t>(EnvU64("MCSORT_N", 100000));
 
   // 1. Server side: a QueryService with one registered table, fronted by
@@ -58,9 +70,7 @@ int main() {
   service.RegisterTable("sales", table);
 
   McsortServer server(&service, ServerOptions{});
-  const std::string env_host = EnvStr("MCSORT_HOST", "");
-  const uint64_t env_port = EnvU64("MCSORT_PORT", 0);
-  if (env_host.empty()) {
+  if (!remote) {
     std::string error;
     if (!server.Start(&error)) {
       std::fprintf(stderr, "server start failed: %s\n", error.c_str());
@@ -73,9 +83,8 @@ int main() {
   // 2. Client side: connect and shake hands. Connect() exchanges HELLO
   //    frames and negotiates the protocol version.
   ClientOptions client_options;
-  client_options.host = env_host.empty() ? "127.0.0.1" : env_host;
-  client_options.port =
-      env_port > 0 ? static_cast<uint16_t>(env_port) : server.port();
+  client_options.host = remote ? env.server.host : "127.0.0.1";
+  client_options.port = env.server.port > 0 ? env.server.port : server.port();
   client_options.client_name = "example_remote_query";
   McsortClient client(client_options);
   std::string error;
@@ -157,6 +166,6 @@ int main() {
   }
 
   client.Close();
-  if (env_host.empty()) server.Shutdown();
+  if (!remote) server.Shutdown();
   return 0;
 }

@@ -7,13 +7,15 @@
 # and the post-restart query digest must equal the pre-kill one.
 #
 # Phase 2 aims the kill at an ACTIVE compaction (100 ms sweep, threshold
-# 1, a writer hammering the table). A kill that lands mid-write leaves the
-# snapshot writer's `*.tmp` orphan on disk — that is inherent to SIGKILL —
-# so the contract under test is two-sided: the tmp+rename commit point
-# means the *committed* snapshot is either the old or the new image (never
-# a torn one), and the restarted server's attach-time sweep removes every
-# orphan. Hence residue is asserted AFTER each restart, and the restarted
-# server must load a consistent snapshot.
+# 1, a writer hammering the table), three times over. A kill that lands
+# mid-save leaves the snapshot writer's orphans on disk — a `*.tmp` file
+# or column files no manifest names — which is inherent to SIGKILL, so the
+# contract under test is two-sided: each save writes new column files and
+# commits by renaming the manifest, so the *committed* snapshot is either
+# the old or the new image (never a torn one), and the restarted server's
+# attach-time sweep removes every orphan. Hence residue is asserted AFTER
+# each restart — no `*.tmp` file, and exactly the demo table's 4 column
+# files — and the restarted server must load a consistent snapshot.
 #
 # Usage: scripts/dml_smoke.sh [build-dir]   (default: build)
 # Env:   MCSORT_SMOKE_PORT (default 0 = ephemeral; the bound port is read
@@ -98,6 +100,18 @@ assert_no_tmp_residue() {
   fi
 }
 
+# After the attach sweep the table directory holds exactly the column
+# files its manifest names: the demo table's 4.
+assert_demo_column_files() {
+  local files
+  files="$(find "${work}/data/demo" -maxdepth 1 -name '*.col' | wc -l)"
+  if [[ "${files}" -ne 4 ]]; then
+    echo "expected the demo table's 4 column files, found ${files}:" >&2
+    ls -l "${work}/data/demo" >&2
+    exit 1
+  fi
+}
+
 echo "=== phase 1: DML + concurrent writer/reader + kill/restart ==="
 start_server 100 "${work}/server1.log"
 echo "server on port ${port}"
@@ -146,23 +160,30 @@ if [[ "${digest_before}" != "${digest_after}" ]]; then
   exit 1
 fi
 
-echo "=== phase 2: SIGKILL aimed at an active compaction ==="
+echo "=== phase 2: SIGKILL aimed at an active compaction, three times ==="
 # 100 ms sweeps + threshold 1 + a hammering writer = the kill lands inside
-# or between compactions with high probability.
-dml churn 2 202 &
-writer_pid=$!
-sleep 1
-kill -9 "${server_pid}"
-wait "${server_pid}" 2> /dev/null || true
-server_pid=""
-wait "${writer_pid}" 2> /dev/null || true  # writer dies with the server
+# or between compactions with high probability. The last restart slows
+# the compactor down for the drain check.
+for cycle in 1 2 3; do
+  echo "--- cycle ${cycle}: churn, then SIGKILL ---"
+  dml churn 2 $((200 + cycle)) &
+  writer_pid=$!
+  sleep 1
+  kill -9 "${server_pid}"
+  wait "${server_pid}" 2> /dev/null || true
+  server_pid=""
+  wait "${writer_pid}" 2> /dev/null || true  # writer dies with the server
 
-echo "--- restart: orphan sweep + the surviving snapshot must load ---"
-start_server 1000 "${work}/server3.log"
-assert_no_tmp_residue
-dml load
-dml schema
-dml digest > /dev/null  # queries run against the restored snapshot
+  echo "--- restart: orphan sweep + the surviving snapshot must load ---"
+  interval_ms=100
+  if ((cycle == 3)); then interval_ms=1000; fi
+  start_server "${interval_ms}" "${work}/server$((cycle + 2)).log"
+  assert_no_tmp_residue
+  assert_demo_column_files
+  dml load
+  dml schema
+  dml digest > /dev/null  # queries run against the restored snapshot
+done
 
 echo "--- clean drain still works after all of it ---"
 kill -TERM "${server_pid}"

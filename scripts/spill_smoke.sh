@@ -45,7 +45,8 @@ echo "=== spill smoke: n=${MCSORT_N}, dir=${MCSORT_SPILL_DIR} ==="
 "${bench_bin}" --verify
 
 # The bench already asserts per-sweep emptiness; double-check nothing at
-# all survived the whole run (catches leaks from the prefetch ablation).
+# all survived the whole run (catches leaks outside the checked sweeps,
+# such as the in-memory baseline's).
 leftovers=$(find "${MCSORT_SPILL_DIR}" -type f 2> /dev/null | wc -l)
 if [[ "${leftovers}" -ne 0 ]]; then
   echo "FAIL: ${leftovers} run files left in ${MCSORT_SPILL_DIR}" >&2

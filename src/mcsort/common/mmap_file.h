@@ -40,7 +40,7 @@ class MmapFile {
   size_t size() const { return size_; }
 
   // Advises the kernel the whole mapping will be read sequentially soon
-  // (used by the verify-checksums pass to prefetch aggressively).
+  // (used by the snapshot loader's checksum pass to prefetch aggressively).
   void AdviseSequential() const;
 
  private:

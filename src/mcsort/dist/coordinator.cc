@@ -5,7 +5,6 @@
 #include <thread>
 #include <utility>
 
-#include "mcsort/common/bits.h"
 #include "mcsort/common/timer.h"
 
 namespace mcsort {
@@ -86,19 +85,6 @@ StatusCode CodeOfFailures(const std::vector<ShardOutcome>& outcomes,
     }
   }
   return code;
-}
-
-// Extracts group-by attribute `j`'s code back out of a merged composite
-// key (merge_keys.h layout: widths concatenated MSB-first, left-aligned).
-uint64_t SliceKey(Key128 key, const std::vector<int>& widths, size_t j) {
-  int prefix = 0;
-  for (size_t i = 0; i < j; ++i) prefix += widths[i];
-  int total = prefix;
-  for (size_t i = j; i < widths.size(); ++i) total += widths[i];
-  const unsigned __int128 k =
-      (static_cast<unsigned __int128>(key.hi) << 64) | key.lo;
-  const int shift = 128 - prefix - widths[j];
-  return static_cast<uint64_t>(k >> shift) & LowBitsMask(widths[j]);
 }
 
 }  // namespace
@@ -401,18 +387,18 @@ DistResult McsortCoordinator::Execute(const QuerySpec& spec,
 
   // Gather: loser-tree merge with group-boundary stitching.
   Timer merge_timer;
-  std::vector<MergeRun> runs;
-  runs.reserve(calls.size());
+  std::vector<MergeRun> runs(calls.size());
+  std::vector<MergeRun*> run_ptrs;
   bool all_global_oids = true;
-  for (const ShardCall& c : calls) {
-    runs.push_back({c.result.extras.merge_key_hi.data(),
-                    c.result.extras.merge_key_lo.data(),
-                    c.result.extras.merge_key_hi.size()});
-    all_global_oids =
-        all_global_oids && (c.result.extras.global_oids.size() ==
-                            c.result.extras.merge_key_hi.size());
+  for (size_t s = 0; s < calls.size(); ++s) {
+    const net::ResultExtras& extras = calls[s].result.extras;
+    runs[s] = {extras.merge_key_hi.data(), extras.merge_key_lo.data(),
+               extras.merge_key_hi.size()};
+    run_ptrs.push_back(&runs[s]);
+    all_global_oids = all_global_oids && (extras.global_oids.size() ==
+                                          extras.merge_key_hi.size());
   }
-  OvcLoserTree tree(std::move(runs));
+  OvcLoserTree tree(std::move(run_ptrs));
 
   std::vector<Key128> merged_keys;  // per merged group, for result_order
   if (per_group) {
@@ -420,7 +406,7 @@ DistResult McsortCoordinator::Execute(const QuerySpec& spec,
     MergeElem e;
     while (tree.Next(&e)) {
       const net::RemoteResult& r = calls[e.run].result;
-      const size_t i = e.index;
+      const size_t i = runs[e.run].pos;
       if (e.code != 0 || merged_keys.empty()) {
         // New group.
         merged_keys.push_back({r.extras.merge_key_hi[i],
@@ -470,9 +456,9 @@ DistResult McsortCoordinator::Execute(const QuerySpec& spec,
     MergeElem e;
     while (tree.Next(&e)) {
       const net::RemoteResult& r = calls[e.run].result;
-      out.result_oids.push_back(all_global_oids
-                                    ? r.extras.global_oids[e.index]
-                                    : r.result_oids[e.index]);
+      const size_t i = runs[e.run].pos;
+      out.result_oids.push_back(all_global_oids ? r.extras.global_oids[i]
+                                                : r.result_oids[i]);
     }
   }
   out.merge_emitted = tree.counters().emitted;
@@ -512,7 +498,7 @@ DistResult McsortCoordinator::Execute(const QuerySpec& spec,
         }
         for (size_t g = 0; g < out.num_groups; ++g) {
           values[g] =
-              static_cast<int64_t>(SliceKey(merged_keys[g], widths, j));
+              static_cast<int64_t>(KeyColumn(merged_keys[g], widths, j));
         }
       }
       keys.push_back(std::move(values));

@@ -1,36 +1,10 @@
 #include "mcsort/dist/merge_keys.h"
 
-#include <cstdio>
-#include <utility>
-
-#include "mcsort/common/bits.h"
+#include "mcsort/dist/merge.h"
 #include "mcsort/storage/column.h"
 
 namespace mcsort {
 namespace dist {
-namespace {
-
-struct KeyAttr {
-  const EncodedColumn* column;
-  int width;
-  bool descending;
-};
-
-// The 128-bit composite of one row: codes concatenated MSB-first, DESC
-// complemented, left-aligned so unsigned (hi, lo) comparison is the
-// multi-column comparison.
-inline unsigned __int128 KeyOf(const std::vector<KeyAttr>& attrs,
-                               int total_width, Oid oid) {
-  unsigned __int128 key = 0;
-  for (const KeyAttr& a : attrs) {
-    Code code = a.column->Get(oid);
-    if (a.descending) code = ComplementCode(code, a.width);
-    key = (key << a.width) | code;
-  }
-  return key << (128 - total_width);
-}
-
-}  // namespace
 
 MergeKeys ComputeMergeKeys(const Table& table, const QuerySpec& spec,
                            const QueryResult& result) {
@@ -39,41 +13,21 @@ MergeKeys ComputeMergeKeys(const Table& table, const QuerySpec& spec,
     out.error = "merge keys unsupported for window (PARTITION BY) queries";
     return out;
   }
-
-  // Mirror QueryExecutor::ResolveSortAttrs: GROUP BY names (all ascending,
-  // spec order — the coordinator pins fixed_column_order so this IS the
-  // executed order), else ORDER BY names with their directions.
-  std::vector<std::string> names;
-  std::vector<SortOrder> orders;
-  if (!spec.group_by.empty()) {
-    names = spec.group_by;
-    orders.assign(names.size(), SortOrder::kAscending);
-    out.per_group = true;
-  } else {
-    for (const auto& [name, order] : spec.order_by) {
-      names.push_back(name);
-      orders.push_back(order);
-    }
-  }
-  if (names.empty()) {
+  if (spec.group_by.empty() && spec.order_by.empty()) {
     out.error = "merge keys require GROUP BY or ORDER BY attributes";
     return out;
   }
-
-  std::vector<KeyAttr> attrs;
-  int total_width = 0;
-  for (size_t i = 0; i < names.size(); ++i) {
-    const EncodedColumn& column = table.column(names[i]);
-    attrs.push_back(
-        {&column, column.width(), orders[i] == SortOrder::kDescending});
-    total_width += column.width();
+  // GROUP BY names are all ascending in spec order — the coordinator pins
+  // fixed_column_order, so the executor's attribute order IS this order.
+  const QueryExecutor::SortAttrs attrs = QueryExecutor::ResolveSortAttrs(spec);
+  out.per_group = !spec.group_by.empty();
+  KeyEncoder encoder;
+  for (size_t i = 0; i < attrs.names.size(); ++i) {
+    encoder.Add(table.column(attrs.names[i]), attrs.orders[i]);
   }
-  if (total_width > 128) {
-    char buf[96];
-    std::snprintf(buf, sizeof(buf),
-                  "composite sort key is %d bits; merge keys cap at 128",
-                  total_width);
-    out.error = buf;
+  const Status fits = CheckKeyWidth(encoder.width());
+  if (!fits.ok()) {
+    out.error = fits.detail;
     return out;
   }
 
@@ -87,9 +41,9 @@ MergeKeys ComputeMergeKeys(const Table& table, const QuerySpec& spec,
       // Every row of a group shares all sort-attribute codes; the first
       // row in sorted order is as good a representative as any.
       const Oid oid = result.result_oids[groups.begin(g)];
-      const unsigned __int128 key = KeyOf(attrs, total_width, oid);
-      out.hi.push_back(static_cast<uint64_t>(key >> 64));
-      out.lo.push_back(static_cast<uint64_t>(key));
+      const Key128 key = encoder.Encode(oid);
+      out.hi.push_back(key.hi);
+      out.lo.push_back(key.lo);
       out.group_sizes.push_back(groups.length(g));
     }
   } else {
@@ -102,9 +56,9 @@ MergeKeys ComputeMergeKeys(const Table& table, const QuerySpec& spec,
     if (has_goid) out.global_oids.reserve(n);
     for (size_t r = 0; r < n; ++r) {
       const Oid oid = result.result_oids[r];
-      const unsigned __int128 key = KeyOf(attrs, total_width, oid);
-      out.hi.push_back(static_cast<uint64_t>(key >> 64));
-      out.lo.push_back(static_cast<uint64_t>(key));
+      const Key128 key = encoder.Encode(oid);
+      out.hi.push_back(key.hi);
+      out.lo.push_back(key.lo);
       if (has_goid) {
         out.global_oids.push_back(static_cast<uint32_t>(goid->Get(oid)));
       }

@@ -5,11 +5,9 @@
 // one globally sorted stream the coordinator needs, per element, the full
 // multi-column sort key — but shipping the sort columns themselves would
 // re-send data the shard already reduced. Instead the shard serializes
-// each element's key as one 128-bit big-endian-comparable composite:
-//
-//   column codes concatenated most-significant-first in sort-attribute
-//   order, descending attributes complemented within their width
-//   (ComplementCode), the whole thing left-aligned to bit 127.
+// each element's key as one 128-bit big-endian-comparable composite,
+// built by dist/merge.h's KeyEncoder (the spill sort's run files use the
+// same one).
 //
 // Unsigned comparison of (hi, lo) pairs is then exactly the multi-column
 // comparison the single-node sort performed, so the coordinator's

@@ -7,6 +7,7 @@
 #include "mcsort/common/bits.h"
 #include "mcsort/common/logging.h"
 #include "mcsort/common/timer.h"
+#include "mcsort/dist/merge.h"
 #include "mcsort/engine/window.h"
 #include "mcsort/scan/bitvector.h"
 #include "mcsort/scan/lookup.h"
@@ -32,7 +33,7 @@ QueryExecutor::QueryExecutor(const Table& table, const ExecutorOptions& options)
       sorter_(options.pool) {}
 
 QueryExecutor::SortAttrs QueryExecutor::ResolveSortAttrs(
-    const QuerySpec& spec) const {
+    const QuerySpec& spec) {
   SortAttrs attrs;
   if (!spec.group_by.empty()) {
     MCSORT_CHECK(spec.order_by.empty() && spec.partition_by.empty());
@@ -290,14 +291,14 @@ ExecResult QueryExecutor::ExecuteOnce(const QuerySpec& spec,
     const size_t per_row = EstimatePlanScratchBytes(plan, 1);
     const size_t slice_rows =
         per_row > 0 ? ctx.scratch_budget_bytes() / per_row : 0;
-    const bool key_fits = external::CanExternalSort(inputs);
-    bool spill =
-        options_.spill.enabled && slice_rows > 0 && slice_rows < n && key_fits;
+    const Status key_fits = dist::CheckKeyWidth(total_width);
+    bool spill = options_.spill.enabled && slice_rows > 0 &&
+                 slice_rows < n && key_fits.ok();
     // The spill arm was viable except for the key width: flag it instead of
     // silently degrading, so operators can see why the budget knob stopped
     // helping on wide-key workloads.
     result.spill_key_too_wide = options_.spill.enabled && slice_rows > 0 &&
-                                slice_rows < n && !key_fits;
+                                slice_rows < n && !key_fits.ok();
     if (spill && options_.use_massage) {
       int widest = 0;
       for (const Round& round : plan.rounds()) {
@@ -329,10 +330,7 @@ ExecResult QueryExecutor::ExecuteOnce(const QuerySpec& spec,
     }
     if (!spill) {
       std::string detail = "plan scratch estimate over budget";
-      if (result.spill_key_too_wide) {
-        detail += "; composite sort key is " + std::to_string(total_width) +
-                  " bits, external merge caps at 128";
-      }
+      if (result.spill_key_too_wide) detail += "; " + key_fits.detail;
       out.status = Status::ResourceExhausted(std::move(detail));
       return out;
     }

@@ -302,13 +302,14 @@ class QueryExecutor {
   // The sort attributes a spec resolves to — which columns drive the
   // multi-column sort, their directions, and how many leading columns are
   // order-free. Public so the service layer derives plan-cache signatures
-  // from exactly the executor's view of the spec.
+  // from exactly the executor's view of the spec, and shards build their
+  // merge keys (dist/merge_keys.h) in exactly the executed order.
   struct SortAttrs {
     std::vector<std::string> names;
     std::vector<SortOrder> orders;
     int permute_prefix = 0;  // how many leading columns are order-free
   };
-  SortAttrs ResolveSortAttrs(const QuerySpec& spec) const;
+  static SortAttrs ResolveSortAttrs(const QuerySpec& spec);
 
  private:
   // One attempt at `bank_cap` (0 = unrestricted). The public Execute wraps

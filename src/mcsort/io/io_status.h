@@ -18,12 +18,10 @@ enum class SnapshotLoadMode {
   kMmap,      // zero-copy: codes are views over a pinned PROT_READ mapping
 };
 
+// Every load verifies every section's CRC32C; with kMmap that costs one
+// sequential pass over the mapping (memory stays file-backed).
 struct SnapshotLoadOptions {
   SnapshotLoadMode mode = SnapshotLoadMode::kBuffered;
-  // Verify every section's CRC32C at load. With kMmap this costs one
-  // sequential pass over the mapping (memory stays file-backed); turn it
-  // off to get the query-ready-in-milliseconds path and trust the medium.
-  bool verify_checksums = true;
 };
 
 }  // namespace mcsort

@@ -8,12 +8,17 @@
 #include <dirent.h>
 #include <sys/stat.h>
 #include <sys/types.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <memory>
+#include <mutex>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -319,24 +324,28 @@ std::string BuildByteSliceSection(const ByteSliceColumn& bs) {
   return out;
 }
 
+// Writes column `index` to `<index>.<token>.col`, a file no other save
+// names (`token` is the save's; the exclusive create refuses to reuse any
+// existing file). Sets meta->file once the file exists, so a failed save
+// knows what to remove.
 Status SaveColumn(const Table& table, const std::string& name,
                   uint32_t index, const std::string& dir,
-                  ColumnMeta* meta) {
+                  const std::string& token, ColumnMeta* meta) {
   const EncodedColumn& column = table.column(name);
   meta->name = name;
   meta->width = static_cast<uint8_t>(column.width());
   meta->type = static_cast<uint8_t>(column.type());
   meta->has_dict = table.HasDictionary(name) ? 1 : 0;
   meta->domain_base = table.domain_base(name);
-  meta->file = std::to_string(index) + ".col";
 
-  const std::string path = dir + "/" + meta->file;
-  const std::string tmp = path + ".tmp";
+  const std::string file = std::to_string(index) + "." + token + ".col";
+  const std::string path = dir + "/" + file;
   {
     File out;
-    out.f = std::fopen(tmp.c_str(), "wb");
-    if (out.f == nullptr) return ErrnoStatus("open", tmp);
-    SegmentFileWriter writer(out.f, tmp);
+    out.f = std::fopen(path.c_str(), "wbx");
+    if (out.f == nullptr) return ErrnoStatus("open", path);
+    meta->file = file;
+    SegmentFileWriter writer(out.f, path);
     Status st = writer.WriteHeader(index);
     if (!st.ok()) return st;
 
@@ -365,12 +374,7 @@ Status SaveColumn(const Table& table, const std::string& name,
                        bs_bytes.size(), meta);
     if (!st.ok()) return st;
 
-    if (std::fflush(out.f) != 0) return ErrnoStatus("flush", tmp);
-  }
-  // Rename (not overwrite-in-place) so a live mmap of the previous snapshot
-  // keeps reading the old inode.
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    return ErrnoStatus("rename", tmp);
+    if (std::fflush(out.f) != 0) return ErrnoStatus("flush", path);
   }
   return Status::Ok();
 }
@@ -455,7 +459,7 @@ Status LoadColumn(const ColumnMeta& meta, uint64_t row_count,
     }
     base = mapping->data();
     file_size = mapping->size();
-    if (options.verify_checksums) mapping->AdviseSequential();
+    mapping->AdviseSequential();  // the CRC pass below reads it all
   } else {
     Status st = ReadFileToString(path, &buffered);
     if (!st.ok()) return st;
@@ -467,11 +471,9 @@ Status LoadColumn(const ColumnMeta& meta, uint64_t row_count,
   if (!st.ok()) return st;
   st = CheckSectionBounds(meta, file_size, path);
   if (!st.ok()) return st;
-  if (options.verify_checksums) {
-    for (const auto& rec : meta.sections) {
-      st = VerifyCrc(base + rec.offset, rec, path);
-      if (!st.ok()) return st;
-    }
+  for (const auto& rec : meta.sections) {
+    st = VerifyCrc(base + rec.offset, rec, path);
+    if (!st.ok()) return st;
   }
 
   const auto bad = [&path](const std::string& why) {
@@ -556,33 +558,77 @@ Status LoadColumn(const ColumnMeta& meta, uint64_t row_count,
   return Status::Ok();
 }
 
+// Saves, loads and the orphan sweep of one directory take turns within a
+// process: saves share the manifest's temp name, each must know which
+// manifest it replaces, and a load must not lose its files to a save's
+// cleanup between reading the manifest and opening them.
+std::mutex& DirectoryLock(const std::string& dir) {
+  static std::mutex locks[16];
+  return locks[std::hash<std::string>{}(dir) % 16];
+}
+
+Status ReadManifest(const std::string& dir, Manifest* manifest) {
+  const std::string path = dir + "/" + kSnapshotManifestFile;
+  std::string bytes;
+  Status st = ReadFileToString(path, &bytes);
+  if (!st.ok()) return st;
+  return DecodeManifest(bytes, path, manifest);
+}
+
+// Unique to one save: the wall clock, the pid and a per-process sequence.
+std::string SaveToken() {
+  static std::atomic<uint64_t> seq{0};
+  const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                      std::chrono::system_clock::now().time_since_epoch())
+                      .count();
+  char token[64];
+  std::snprintf(token, sizeof(token), "%llx-%x-%llx",
+                static_cast<unsigned long long>(ns),
+                static_cast<unsigned>(::getpid()),
+                static_cast<unsigned long long>(
+                    seq.fetch_add(1, std::memory_order_relaxed)));
+  return token;
+}
+
 }  // namespace
 
 Status SaveTableSnapshot(const Table& table, const std::string& dir) {
   if (!MakeDirs(dir)) return ErrnoStatus("mkdir", dir);
+  std::lock_guard<std::mutex> lock(DirectoryLock(dir));
+  // The snapshot this save replaces. When its manifest is unreadable its
+  // files stay, for the attach sweep (RemoveUnreferencedColumnFiles).
+  Manifest replaced;
+  if (!ReadManifest(dir, &replaced).ok()) replaced.columns.clear();
+
+  const std::string token = SaveToken();
   Manifest manifest;
   manifest.row_count = table.row_count();
   manifest.columns.resize(table.column_names().size());
-  for (size_t i = 0; i < table.column_names().size(); ++i) {
-    Status st =
-        SaveColumn(table, table.column_names()[i], static_cast<uint32_t>(i),
-                   dir, &manifest.columns[i]);
-    if (!st.ok()) return st;
+  Status st;
+  for (size_t i = 0; st.ok() && i < table.column_names().size(); ++i) {
+    st = SaveColumn(table, table.column_names()[i], static_cast<uint32_t>(i),
+                    dir, token, &manifest.columns[i]);
   }
-  // The manifest rename is the commit point: a crash before it leaves no
-  // readable snapshot, never a half-written one.
-  return WriteFileAtomic(dir + "/" + kSnapshotManifestFile,
-                        EncodeManifest(manifest));
+  // The manifest rename is the commit point. Column files are new names,
+  // so until it the previous snapshot is untouched: a failed or killed
+  // save leaves it loadable, and a live mmap of it keeps its inodes.
+  if (st.ok()) {
+    st = WriteFileAtomic(dir + "/" + kSnapshotManifestFile,
+                         EncodeManifest(manifest));
+  }
+  // Committed: retire the replaced snapshot's files. Failed: remove this
+  // save's own, which no manifest names.
+  for (const ColumnMeta& col : st.ok() ? replaced.columns : manifest.columns) {
+    if (!col.file.empty()) RemoveFile(dir + "/" + col.file);
+  }
+  return st;
 }
 
 Status LoadTableSnapshot(const std::string& dir,
                          const SnapshotLoadOptions& options, Table* out) {
-  const std::string manifest_path = dir + "/" + kSnapshotManifestFile;
-  std::string manifest_bytes;
-  Status st = ReadFileToString(manifest_path, &manifest_bytes);
-  if (!st.ok()) return st;
+  std::lock_guard<std::mutex> lock(DirectoryLock(dir));
   Manifest manifest;
-  st = DecodeManifest(manifest_bytes, manifest_path, &manifest);
+  Status st = ReadManifest(dir, &manifest);
   if (!st.ok()) return st;
 
   Table table(manifest.row_count);
@@ -592,6 +638,27 @@ Status LoadTableSnapshot(const std::string& dir,
   }
   *out = std::move(table);
   return Status::Ok();
+}
+
+size_t RemoveUnreferencedColumnFiles(const std::string& dir) {
+  std::lock_guard<std::mutex> lock(DirectoryLock(dir));
+  Manifest manifest;
+  if (!ReadManifest(dir, &manifest).ok()) return 0;
+  std::unordered_set<std::string> named;
+  for (const ColumnMeta& col : manifest.columns) named.insert(col.file);
+  DIR* d = ::opendir(dir.c_str());
+  if (d == nullptr) return 0;
+  size_t removed = 0;
+  while (struct dirent* entry = ::readdir(d)) {
+    const std::string name = entry->d_name;
+    if (name.size() <= 4 || name.compare(name.size() - 4, 4, ".col") != 0 ||
+        named.count(name) != 0) {
+      continue;
+    }
+    if (::unlink((dir + "/" + name).c_str()) == 0) ++removed;
+  }
+  ::closedir(d);
+  return removed;
 }
 
 std::vector<std::string> ListSnapshotTables(const std::string& root) {

@@ -2,8 +2,15 @@
 //
 // A snapshot is a directory per table:
 //
-//   <dir>/MANIFEST.mcs   binary manifest: schema + section directory
-//   <dir>/<i>.col        one segment file per column (i = schema position)
+//   <dir>/MANIFEST.mcs        binary manifest: schema + section directory
+//   <dir>/<i>.<token>.col     one segment file per column (i = schema
+//                             position, token unique to the save)
+//
+// The manifest records each column's file name, so the loader takes names
+// from it (snapshots written as `<i>.col` load the same way). A save writes
+// new files, renames the manifest over the old one — the commit point —
+// and then deletes the files of the manifest it replaced; until that
+// rename the previous snapshot is untouched.
 //
 // The manifest is a fixed little-endian layout (no JSON, no parser deps)
 // written with the net/wire codec and protected by a trailing CRC32C. Each
@@ -20,6 +27,7 @@
 #ifndef MCSORT_IO_SNAPSHOT_H_
 #define MCSORT_IO_SNAPSHOT_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -49,6 +57,14 @@ enum class SnapshotSection : uint8_t {
 Status SaveTableSnapshot(const Table& table, const std::string& dir);
 Status LoadTableSnapshot(const std::string& dir,
                          const SnapshotLoadOptions& options, Table* out);
+
+// Deletes every `*.col` file in snapshot directory `dir` that its manifest
+// does not name — the files of a save that was killed before its commit or
+// before retiring the snapshot it replaced. Returns how many it removed;
+// removes nothing when the manifest is missing or unreadable. Safe while
+// this process saves, but a save by another process could lose its files:
+// call it when the directory is attached.
+size_t RemoveUnreferencedColumnFiles(const std::string& dir);
 
 // Names of the snapshot subdirectories of `root` (directories containing a
 // MANIFEST.mcs), sorted — the catalog's view of a data directory. Missing

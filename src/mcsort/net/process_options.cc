@@ -54,7 +54,6 @@ Status ProcessOptions::FromEnv(ProcessOptions* out) {
   service.rho = EnvDouble("MCSORT_RHO", service.rho);
   EnvSwitch("MCSORT_SPILL", &service.spill.enabled);
   service.spill.dir = EnvStr("MCSORT_SPILL_DIR", service.spill.dir.c_str());
-  EnvSwitch("MCSORT_SPILL_PREFETCH", &service.spill.prefetch);
 
   CatalogOptions& catalog = options.catalog;
   catalog.dir = EnvStr("MCSORT_DATA_DIR", catalog.dir.c_str());

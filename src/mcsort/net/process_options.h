@@ -14,7 +14,6 @@
 //   MCSORT_RHO                   service.rho
 //   MCSORT_SPILL                 service.spill.enabled       (0 = off)
 //   MCSORT_SPILL_DIR             service.spill.dir
-//   MCSORT_SPILL_PREFETCH        service.spill.prefetch      (0 = off)
 //   MCSORT_DATA_DIR              catalog.dir
 //   MCSORT_MMAP                  catalog.load.mode           (1 = mmap)
 //   MCSORT_MEMORY_BUDGET         catalog.memory_budget_bytes
@@ -56,11 +55,11 @@ struct ProcessOptions {
 
   // Resets *out to ProcessOptions{} and applies every variable that is
   // set. Numbers follow EnvU64 (common/env.h): a malformed value or 0
-  // leaves the default. MCSORT_SPILL, MCSORT_SPILL_PREFETCH, MCSORT_COMPACT
-  // and MCSORT_MMAP are switches: set and non-empty, a value that parses
-  // to 0 (or does not parse) means off. Returns kInvalidArgument, naming
-  // the variable and leaving *out untouched, when a number parses but does
-  // not fit its field.
+  // leaves the default. MCSORT_SPILL, MCSORT_COMPACT and MCSORT_MMAP are
+  // switches: set and non-empty, a value that parses to 0 (or does not
+  // parse) means off. Returns kInvalidArgument, naming the variable and
+  // leaving *out untouched, when a number parses but does not fit its
+  // field.
   static Status FromEnv(ProcessOptions* out);
 };
 

@@ -110,11 +110,13 @@ void QueryService::SetCatalog(const CatalogOptions& options) {
   const std::vector<std::string> on_disk = ListSnapshotTables(options.dir);
   // Orphan hygiene: an interrupted snapshot writer leaves `*.tmp` files
   // behind (the atomic-rename discipline guarantees finished artifacts are
-  // never named that). Attach time is the one moment no writer can be
+  // never named that), and column files its manifest never named or no
+  // longer names. Attach time is the one moment no writer can be
   // concurrent with us, so sweep the root and every snapshot directory.
   size_t orphans = CleanupTempFiles(options.dir);
   for (const std::string& name : on_disk) {
-    orphans += CleanupTempFiles(options.dir + "/" + name);
+    const std::string dir = options.dir + "/" + name;
+    orphans += CleanupTempFiles(dir) + RemoveUnreferencedColumnFiles(dir);
   }
   std::lock_guard<std::mutex> lock(tables_mu_);
   catalog_ = options;
@@ -359,9 +361,9 @@ bool QueryService::CompactTable(const std::string& name) {
   delta::TableVersion::CompactionJob job = version->BeginCompaction();
   if (job.snap.empty()) return false;  // nothing to fold in
 
-  // Heavy phase, no locks held: re-encode, then persist through the same
-  // tmp+rename commit point snapshots use — a crash mid-save leaves the
-  // previous snapshot intact and only *.tmp residue, which startup sweeps.
+  // Heavy phase, no locks held: re-encode, then persist through the
+  // snapshot's manifest-rename commit point — a failed or killed save
+  // leaves the previous snapshot intact, and startup sweeps its residue.
   Timer timer;
   delta::MergedTable merged = delta::BuildMergedTable(job.base, job.snap);
   const uint64_t merged_rows = merged.table->row_count();

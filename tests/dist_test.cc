@@ -214,6 +214,13 @@ struct RefElem {
   uint32_t index;
 };
 
+// The tree borrows its runs.
+std::vector<MergeRun*> Borrow(std::vector<MergeRun>& runs) {
+  std::vector<MergeRun*> ptrs;
+  for (MergeRun& run : runs) ptrs.push_back(&run);
+  return ptrs;
+}
+
 TEST(LoserTreeTest, MatchesReferenceMergeAndMarksSeams) {
   Rng rng(23);
   const int kRuns = 5;
@@ -246,15 +253,15 @@ TEST(LoserTreeTest, MatchesReferenceMergeAndMarksSeams) {
                      return a.run < b.run;  // stable keeps index order
                    });
 
-  OvcLoserTree tree(std::move(runs));
-  EXPECT_EQ(tree.remaining(), expected.size());
+  OvcLoserTree tree(Borrow(runs));
   MergeElem elem;
   Key128 prev{};
   bool have_prev = false;
   for (size_t i = 0; i < expected.size(); ++i) {
     ASSERT_TRUE(tree.Next(&elem)) << "element " << i;
     EXPECT_EQ(elem.run, expected[i].run) << "element " << i;
-    EXPECT_EQ(elem.index, expected[i].index) << "element " << i;
+    // The emitted element's run still sits on it: its payload is read there.
+    EXPECT_EQ(runs[elem.run].pos, expected[i].index) << "element " << i;
     // The emitted code is the element's OVC relative to the previous
     // output: zero exactly on a key repeat (the group-seam signal).
     const Key128 key = expected[i].key;
@@ -268,6 +275,7 @@ TEST(LoserTreeTest, MatchesReferenceMergeAndMarksSeams) {
   }
   EXPECT_FALSE(tree.Next(&elem));
   EXPECT_EQ(tree.counters().emitted, expected.size());
+  EXPECT_EQ(tree.failed_run(), -1);
 }
 
 TEST(LoserTreeTest, DistinctKeysNeedFewFullCompares) {
@@ -289,12 +297,12 @@ TEST(LoserTreeTest, DistinctKeysNeedFewFullCompares) {
     runs.push_back({hi[r].data(), lo[r].data(), hi[r].size()});
     total += keys.size();
   }
-  OvcLoserTree tree(std::move(runs));
+  OvcLoserTree tree(Borrow(runs));
   MergeElem elem;
   Key128 prev{};
   size_t emitted = 0;
   while (tree.Next(&elem)) {
-    const Key128 key{hi[elem.run][elem.index], lo[elem.run][elem.index]};
+    const Key128 key = runs[elem.run].key();
     ASSERT_TRUE(emitted == 0 || prev < key);  // strictly sorted output
     prev = key;
     ++emitted;
@@ -308,19 +316,53 @@ TEST(LoserTreeTest, DistinctKeysNeedFewFullCompares) {
 
 TEST(LoserTreeTest, HandlesEmptyAndSingleRuns) {
   std::vector<uint64_t> hi = {1, 2, 3}, lo = {0, 0, 0};
-  OvcLoserTree tree({{nullptr, nullptr, 0},
-                     {hi.data(), lo.data(), 3},
-                     {nullptr, nullptr, 0}});
+  std::vector<MergeRun> runs = {{nullptr, nullptr, 0},
+                                {hi.data(), lo.data(), 3},
+                                {nullptr, nullptr, 0}};
+  OvcLoserTree tree(Borrow(runs));
   MergeElem elem;
-  for (int i = 0; i < 3; ++i) {
+  for (size_t i = 0; i < 3; ++i) {
     ASSERT_TRUE(tree.Next(&elem));
     EXPECT_EQ(elem.run, 1u);
-    EXPECT_EQ(elem.index, static_cast<uint32_t>(i));
+    EXPECT_EQ(runs[1].pos, i);
   }
   EXPECT_FALSE(tree.Next(&elem));
 
-  OvcLoserTree empty(std::vector<MergeRun>{});
+  OvcLoserTree empty(std::vector<MergeRun*>{});
   EXPECT_FALSE(empty.Next(&elem));
+}
+
+// --------------------------------------------------------------------------
+// The composite key module
+// --------------------------------------------------------------------------
+
+// KeyColumn is what the coordinator re-sorts merged groups by when a
+// result order names a group-by column.
+TEST(KeyEncoderTest, ColumnsRoundTripAcrossTheWordSeam) {
+  const size_t n = 64;
+  Rng rng(31);
+  EncodedColumn a(40, n), b(9, n), c(64, n);
+  for (size_t r = 0; r < n; ++r) {
+    a.Set(r, rng.NextBounded(uint64_t{1} << 40));
+    b.Set(r, rng.NextBounded(512));
+    c.Set(r, rng.Next());
+  }
+  KeyEncoder encoder;
+  encoder.Add(a, SortOrder::kAscending);
+  encoder.Add(b, SortOrder::kDescending);
+  encoder.Add(c, SortOrder::kAscending);  // bits 78..15: spans hi and lo
+  ASSERT_EQ(encoder.width(), 113);
+  ASSERT_TRUE(CheckKeyWidth(encoder.width()).ok());
+  const std::vector<int> widths = {40, 9, 64};
+  for (size_t r = 0; r < n; ++r) {
+    const Key128 key = encoder.Encode(static_cast<Oid>(r));
+    EXPECT_EQ(KeyColumn(key, widths, 0), a.Get(r));
+    EXPECT_EQ(KeyColumn(key, widths, 1), ComplementCode(b.Get(r), 9));
+    EXPECT_EQ(KeyColumn(key, widths, 2), c.Get(r));
+    EXPECT_EQ(key.lo & ((uint64_t{1} << 15) - 1), 0u) << "left-aligned";
+  }
+  EXPECT_TRUE(CheckKeyWidth(128).ok());
+  EXPECT_EQ(CheckKeyWidth(129).code, StatusCode::kUnimplemented);
 }
 
 // --------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 // External (spill) sort tests: run-file round-trip and corruption
 // rejection, ExternalSorter bit-identity against the in-memory sorter
-// across slice sizes and prefetch modes, zero-residue unwinding on
-// cancellation, and the executor's spill-vs-degrade routing — including
-// the exec.spill.* metrics the service records.
+// across slice sizes, a block that fails its CRC mid-merge, zero-residue
+// unwinding on cancellation, and the executor's spill-vs-degrade routing —
+// including the exec.spill.* metrics the service records.
 //
 // Acceptance properties from the design doc exercised here:
 //   * spilled output is bit-identical to the in-memory path (exact oid
@@ -233,36 +233,43 @@ TEST(ExternalSorterTest, BitIdenticalAcrossSliceSizes) {
   }
 }
 
-TEST(ExternalSorterTest, SyncReadsMatchPrefetch) {
-  const size_t n = 60'000;
-  std::vector<EncodedColumn> cols = TieHeavyColumns(n, 42);
-  const std::vector<MassageInput> inputs = {{&cols[0], SortOrder::kAscending},
-                                            {&cols[1], SortOrder::kAscending},
-                                            {&cols[2], SortOrder::kAscending}};
-  const MassagePlan plan = MassagePlan::ColumnAtATime({10, 8, 7});
-  ThreadPool pool(2);
-  MultiColumnSorter sorter(&pool);
+// A block that fails its CRC while the merge is under way — in the
+// cursor's prefetch, past the first block every cursor reads up front — must
+// stop the merge with the block's kDataLoss naming the file, never end in a
+// short result or a wrong-row-count kInternal.
+TEST(ExternalSorterTest, CorruptBlockMidMergeIsDataLoss) {
+  TempSpillDir dir("midmerge");
+  const size_t kRuns = 3, kRows = 400, kBlockRows = 64;
+  std::vector<std::string> paths;
+  for (size_t run = 0; run < kRuns; ++run) {
+    paths.push_back(dir.path + "/run" + std::to_string(run) + ".mcr");
+    RunWriter writer(paths.back(), kBlockRows);
+    ASSERT_TRUE(writer.Open().ok());
+    for (size_t r = 0; r < kRows; ++r) {
+      writer.Add({r, run}, static_cast<Oid>(run * kRows + r));
+    }
+    ASSERT_TRUE(writer.Finish().ok());
+  }
+  ExternalSortResult intact;
+  ASSERT_TRUE(external::MergeRunFiles(paths, kRuns * kRows, kBlockRows,
+                                      ExecContext::Default(), &intact)
+                  .ok());
+  EXPECT_EQ(intact.oids.size(), kRuns * kRows);
 
-  TempSpillDir dir("sync");
-  SpillConfig config;
-  config.dir = dir.path;
-  config.block_rows = 2048;
+  // Block 1 of run 1 sits on the third page (preamble, block 0, block 1).
+  std::FILE* f = std::fopen(paths[1].c_str(), "r+b");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fseek(f, 2 * external::kRunPageBytes + 8, SEEK_SET), 0);
+  const unsigned char bit = 0xFF;
+  ASSERT_EQ(std::fwrite(&bit, 1, 1, f), 1u);
+  std::fclose(f);
 
-  config.prefetch = true;
-  ExternalSorter prefetching(&sorter, config, n / 5);
-  const ExternalSortResult with_prefetch =
-      prefetching.Sort(inputs, plan, ExecContext::Default());
-  ASSERT_TRUE(with_prefetch.status.ok());
-
-  config.prefetch = false;
-  ExternalSorter synchronous(&sorter, config, n / 5);
-  const ExternalSortResult without =
-      synchronous.Sort(inputs, plan, ExecContext::Default());
-  ASSERT_TRUE(without.status.ok());
-
-  ExpectValueIdentical(with_prefetch.oids, with_prefetch.groups, without.oids,
-                       without.groups);
-  EXPECT_EQ(dir.FileCount(), 0u);
+  ExternalSortResult damaged;
+  const Status st = external::MergeRunFiles(
+      paths, kRuns * kRows, kBlockRows, ExecContext::Default(), &damaged);
+  EXPECT_EQ(st.code, StatusCode::kDataLoss) << st.ToString();
+  EXPECT_NE(st.detail.find(paths[1]), std::string::npos) << st.detail;
+  for (const std::string& path : paths) ::unlink(path.c_str());
 }
 
 TEST(ExternalSorterTest, RejectsBadOptionsAndWideKeys) {
@@ -302,7 +309,6 @@ TEST(ExternalSorterTest, RejectsBadOptionsAndWideKeys) {
         {&wide[0], SortOrder::kAscending},
         {&wide[1], SortOrder::kAscending},
         {&wide[2], SortOrder::kAscending}};
-    EXPECT_FALSE(external::CanExternalSort(wide_inputs));
     SpillConfig config;
     config.dir = dir.path;
     ExternalSorter external(&sorter, config, 256);
@@ -310,6 +316,8 @@ TEST(ExternalSorterTest, RejectsBadOptionsAndWideKeys) {
         wide_inputs, MassagePlan::ColumnAtATime({48, 48, 48}),
         ExecContext::Default());
     EXPECT_EQ(result.status.code, StatusCode::kUnimplemented);
+    EXPECT_NE(result.status.detail.find("144 bits"), std::string::npos)
+        << result.status.detail;
   }
   {
     // An uncreatable spill dir is a typed kUnavailable, not a crash.

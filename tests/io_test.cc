@@ -9,8 +9,10 @@
 // or any section) must surface as a typed Status, never a crash.
 #include "mcsort/io/snapshot.h"
 
+#include <dirent.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -54,6 +56,32 @@ class TempDir {
  private:
   std::string path_;
 };
+
+// The segment files in snapshot directory `dir`, sorted by name.
+std::vector<std::string> ColumnFiles(const std::string& dir) {
+  std::vector<std::string> files;
+  if (DIR* d = ::opendir(dir.c_str())) {
+    while (struct dirent* e = ::readdir(d)) {
+      const std::string name = e->d_name;
+      if (name.size() > 4 && name.compare(name.size() - 4, 4, ".col") == 0) {
+        files.push_back(name);
+      }
+    }
+    ::closedir(d);
+  }
+  std::sort(files.begin(), files.end());
+  return files;
+}
+
+// Path of column `index`'s segment file: a save names it
+// `<index>.<token>.col`, so it is found by listing, not by name.
+std::string ColumnFile(const std::string& dir, size_t index) {
+  const std::string prefix = std::to_string(index) + ".";
+  for (const std::string& name : ColumnFiles(dir)) {
+    if (name.compare(0, prefix.size(), prefix) == 0) return dir + "/" + name;
+  }
+  return dir + "/(no segment file for column " + prefix + ")";
+}
 
 // A table whose sort columns span all three banks: 12-bit (u16), 24-bit
 // (u32), 40-bit (u64), plus a dictionary string column and a domain
@@ -209,7 +237,7 @@ TEST(SnapshotTest, CorruptedSectionIsTypedError) {
 
   // Flip one byte inside the first column's codes section (past the
   // 16-byte segment header, within the first page-aligned section).
-  const std::string victim = dir + "/0.col";
+  const std::string victim = ColumnFile(dir, 0);
   {
     std::fstream f(victim, std::ios::in | std::ios::out | std::ios::binary);
     ASSERT_TRUE(f.good());
@@ -355,7 +383,7 @@ TEST(SnapshotTest, SegmentVersionGateIsTypedError) {
   const std::string dir = tmp.path() + "/t";
   ASSERT_TRUE(MakeBankSpanningTable(500, 9).SaveSnapshot(dir).ok());
   {
-    std::fstream f(dir + "/1.col",
+    std::fstream f(ColumnFile(dir, 1),
                    std::ios::in | std::ios::out | std::ios::binary);
     ASSERT_TRUE(f.good());
     const uint32_t version = 1;
@@ -377,6 +405,47 @@ TEST(SnapshotTest, SegmentVersionGateIsTypedError) {
               std::string::npos)
         << st.detail;
   }
+}
+
+// A save that fails before its commit point must leave the snapshot it
+// would have replaced loadable: here a directory squats on the manifest's
+// temp name, so table B's save fails after writing all its column files.
+TEST(SnapshotTest, FailedSaveLeavesPreviousSnapshotLoadable) {
+  TempDir tmp;
+  const std::string dir = tmp.path() + "/t";
+  const Table a = MakeBankSpanningTable(3000, 21);
+  const Table b = MakeBankSpanningTable(3000, 22);
+  ASSERT_TRUE(a.SaveSnapshot(dir).ok());
+  const std::vector<std::string> files_a = ColumnFiles(dir);
+  ASSERT_EQ(files_a.size(), a.column_names().size());
+
+  const std::string blocker = dir + "/" + kSnapshotManifestFile + ".tmp";
+  ASSERT_TRUE(MakeDirs(blocker));
+  const Status failed = b.SaveSnapshot(dir);
+  EXPECT_EQ(failed.code, StatusCode::kUnavailable) << failed.ToString();
+  EXPECT_EQ(ColumnFiles(dir), files_a) << "the failed save left its files";
+  for (const SnapshotLoadMode mode :
+       {SnapshotLoadMode::kBuffered, SnapshotLoadMode::kMmap}) {
+    SCOPED_TRACE(mode == SnapshotLoadMode::kMmap ? "mmap" : "buffered");
+    SnapshotLoadOptions load;
+    load.mode = mode;
+    Table loaded;
+    const Status st = Table::LoadSnapshot(dir, load, &loaded);
+    ASSERT_TRUE(st.ok()) << st.ToString();
+    ExpectTablesEquivalent(a, loaded);
+  }
+
+  // Unblocked, the next save commits B and deletes A's files.
+  ASSERT_EQ(::rmdir(blocker.c_str()), 0);
+  ASSERT_TRUE(b.SaveSnapshot(dir).ok());
+  const std::vector<std::string> files_b = ColumnFiles(dir);
+  EXPECT_EQ(files_b.size(), b.column_names().size());
+  for (const std::string& file : files_a) {
+    EXPECT_EQ(std::count(files_b.begin(), files_b.end(), file), 0) << file;
+  }
+  Table loaded;
+  ASSERT_TRUE(Table::LoadSnapshot(dir, SnapshotLoadOptions{}, &loaded).ok());
+  ExpectTablesEquivalent(b, loaded);
 }
 
 TEST(SnapshotTest, ListSnapshotTablesSortedAndExists) {
@@ -515,14 +584,17 @@ TEST(FsUtilTest, CleanupTempFilesRemovesOnlySuffixMatches) {
 
 TEST(FsUtilTest, CatalogAttachSweepsOrphanedTempFiles) {
   // A crash between "write MANIFEST.mcs.tmp" and the rename leaves *.tmp
-  // orphans in the catalog root and inside table directories. Attaching
-  // the catalog must delete them and still register the intact snapshot.
+  // orphans in the catalog root and inside table directories, and column
+  // files no manifest names. Attaching the catalog must delete them and
+  // still register the intact snapshot.
   TempDir tmp;
   const Table table = MakeBankSpanningTable(512, 77);
   ASSERT_TRUE(SaveTableSnapshot(table, tmp.path() + "/t").ok());
+  const std::vector<std::string> files = ColumnFiles(tmp.path() + "/t");
   WriteFile(tmp.path() + "/stray.tmp", "crash leftover at the root");
   WriteFile(tmp.path() + "/t/MANIFEST.mcs.tmp", "interrupted re-save");
   WriteFile(tmp.path() + "/t/0.col.tmp", "interrupted segment");
+  WriteFile(tmp.path() + "/t/0.interrupted-save.col", "unreferenced segment");
 
   QueryService service(ServiceOptions{});
   CatalogOptions catalog;
@@ -530,11 +602,12 @@ TEST(FsUtilTest, CatalogAttachSweepsOrphanedTempFiles) {
   service.SetCatalog(catalog);
 
   EXPECT_EQ(
-      service.metrics().counter("catalog.tmp_orphans_removed")->value(), 3u);
+      service.metrics().counter("catalog.tmp_orphans_removed")->value(), 4u);
   std::string bytes;
   EXPECT_FALSE(ReadFileToString(tmp.path() + "/stray.tmp", &bytes).ok());
   EXPECT_FALSE(
       ReadFileToString(tmp.path() + "/t/MANIFEST.mcs.tmp", &bytes).ok());
+  EXPECT_EQ(ColumnFiles(tmp.path() + "/t"), files);
   // The real snapshot still loads through the swept catalog.
   const std::shared_ptr<const Table> loaded = service.FindTableShared("t");
   ASSERT_NE(loaded, nullptr);

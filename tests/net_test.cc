@@ -882,14 +882,15 @@ TEST_F(NetRobustnessTest, GracefulDrainFinishesInFlightQueries) {
 
 // Every spelling ProcessOptions::FromEnv reads.
 constexpr const char* kKnobs[] = {
-    "MCSORT_THREADS",          "MCSORT_RHO",
-    "MCSORT_SPILL",            "MCSORT_SPILL_DIR",
-    "MCSORT_SPILL_PREFETCH",   "MCSORT_DATA_DIR",
-    "MCSORT_MMAP",             "MCSORT_MEMORY_BUDGET",
-    "MCSORT_COMPACT",          "MCSORT_COMPACT_INTERVAL_MS",
-    "MCSORT_COMPACT_MIN_ROWS", "MCSORT_HOST",
-    "MCSORT_PORT",             "MCSORT_MAX_CONNS",
-    "MCSORT_SCRATCH_BUDGET",   "MCSORT_N",
+    "MCSORT_THREADS",       "MCSORT_RHO",
+    "MCSORT_SPILL",         "MCSORT_SPILL_DIR",
+    "MCSORT_DATA_DIR",      "MCSORT_MMAP",
+    "MCSORT_MEMORY_BUDGET", "MCSORT_COMPACT",
+    "MCSORT_COMPACT_INTERVAL_MS",
+    "MCSORT_COMPACT_MIN_ROWS",
+    "MCSORT_HOST",          "MCSORT_PORT",
+    "MCSORT_MAX_CONNS",     "MCSORT_SCRATCH_BUDGET",
+    "MCSORT_N",
 };
 
 // Unsets every knob for the test's lifetime, then restores each one's
@@ -935,12 +936,9 @@ std::vector<std::string> Fields(const ProcessOptions& o) {
       "service.use_calibration=" + u(o.service.use_calibration),
       "service.spill.enabled=" + u(o.service.spill.enabled),
       "service.spill.dir=" + o.service.spill.dir,
-      "service.spill.prefetch=" + u(o.service.spill.prefetch),
-      "service.spill.io_threads=" + u(o.service.spill.io_threads),
       "service.spill.block_rows=" + u(o.service.spill.block_rows),
       "catalog.dir=" + o.catalog.dir,
       "catalog.load.mode=" + u(static_cast<int>(o.catalog.load.mode)),
-      "catalog.load.verify_checksums=" + u(o.catalog.load.verify_checksums),
       "catalog.memory_budget_bytes=" + u(o.catalog.memory_budget_bytes),
       "compaction.enabled=" + u(o.compaction.enabled),
       "compaction.interval_ms=" + u(o.compaction.interval_ms),
@@ -985,8 +983,6 @@ TEST(ProcessOptionsTest, EachSpellingLandsInExactlyItsField) {
        [](ProcessOptions* o) { o->service.spill.enabled = false; }},
       {"MCSORT_SPILL_DIR", "/tmp/knob-spill",
        [](ProcessOptions* o) { o->service.spill.dir = "/tmp/knob-spill"; }},
-      {"MCSORT_SPILL_PREFETCH", "0",
-       [](ProcessOptions* o) { o->service.spill.prefetch = false; }},
       {"MCSORT_DATA_DIR", "/tmp/knob-data",
        [](ProcessOptions* o) { o->catalog.dir = "/tmp/knob-data"; }},
       {"MCSORT_MMAP", "1",
