@@ -1,5 +1,5 @@
 // Ablation: the per-round sort kernels of multi-column sorting — SIMD
-// merge-sort (the paper's kernel), LSD radix (Sec. 7 future work), and the
+// merge-sort (the paper's kernel), radix (Sec. 7 future work), and the
 // CAFS-style counting sort (O(N + K) when the round's distinct count K is
 // small against N). A kernel runs by annotating every round of the plan
 // with it.
@@ -12,8 +12,9 @@
 //      (counting's histogram costs O(2^width); its payoff needs small K
 //      AND a cache-resident histogram).
 //   3. Unforced routing: ROGA with the full kernel mask over the sweep's
-//      statistics — prints the chosen plan with its kernel annotations so
-//      the cost-model crossover can be checked against the measured one.
+//      statistics and over the Sec. 3 instances — prints the chosen plans
+//      with their kernel annotations so the cost model's choices can be
+//      checked against the measured tables.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -127,11 +128,24 @@ int main() {
     const SearchResult found = RogaSearch(model, stats, options);
     std::printf("2^%-8d %-40s\n", log_k, found.plan.ToString().c_str());
   }
+  std::printf("\n%-10s %-40s\n", "instance", "chosen plan (round:kernel)");
+  for (const Case& c : cases) {
+    const EncodedColumn c1 = bench::SyntheticColumn(c.w1, n, 71);
+    const EncodedColumn c2 = bench::SyntheticColumn(c.w2, n, 72);
+    std::vector<ColumnStats> storage;
+    const SortInstanceStats stats = bench::StatsFor({&c1, &c2}, &storage);
+    SearchOptions options;
+    options.kernels = kRoutableKernels;
+    const SearchResult found = RogaSearch(model, stats, options);
+    std::printf("%-10s %-40s\n",
+                (std::to_string(c.w1) + "+" + std::to_string(c.w2)).c_str(),
+                found.plan.ToString().c_str());
+  }
 
-  std::printf("\nexpected shape: counting beats merge while K stays far\n"
-              "below N with the 2^16-counter histogram cache-resident;\n"
-              "radix wins on narrow rounds ending at digit boundaries;\n"
-              "ROGA's routing crossover should track the measured\n"
-              "count/merge crossover.\n");
+  std::printf("\nexpected shape: radix is the fastest kernel on the wide\n"
+              "plans and counting on the rounds it can sort; counting beats\n"
+              "merge at every K of the sweep, and radix beats merge; ROGA\n"
+              "routes the sweep to counting and each Sec. 3 instance to\n"
+              "one or two radix rounds.\n");
   return 0;
 }

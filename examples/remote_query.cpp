@@ -9,8 +9,10 @@
 // binary protocol (wire.h) — nothing is short-circuited in-process.
 //
 // Set MCSORT_HOST (and MCSORT_PORT) to point the client at an already
-// running `mcsort_server` instead of the embedded one. A MCSORT_PORT that
-// is not a port exits 2 naming it, as the tools do.
+// running `mcsort_server` instead of the embedded one; the queries take
+// their column names from the server's SCHEMA reply, so they run against
+// whatever default table it serves. A MCSORT_PORT that is not a port
+// exits 2 naming it, as the tools do.
 //
 // Build & run:  cmake -B build -G Ninja && cmake --build build
 //               ./build/examples/example_remote_query
@@ -111,26 +113,40 @@ int main() {
     std::printf("\n");
   }
 
+  // The queries below name the default table's columns as SCHEMA reports
+  // them: its first two columns are the GROUP BY keys and its last column
+  // the measure (region, quarter and units on the embedded sales table).
+  const TableSchema* target = nullptr;
+  for (const TableSchema& t : schema.tables) {
+    if (t.name == client.hello().default_table) target = &t;
+  }
+  if (target == nullptr || target->columns.size() < 3) {
+    std::fprintf(stderr, "default table '%s' needs three columns\n",
+                 client.hello().default_table.c_str());
+    return 1;
+  }
+  const std::string& key1 = target->columns[0].name;
+  const std::string& key2 = target->columns[1].name;
+  const std::string& measure = target->columns.back().name;
+
   // 4. A GROUP BY aggregate. The spec is the same QuerySpecBuilder used
   //    in-process; the client encodes it into a QUERY frame and streams
   //    the chunked RESULT back.
-  const QuerySpec per_cell = QuerySpecBuilder()
-                                 .GroupBy({"region", "quarter"})
-                                 .Sum("units")
-                                 .Count()
-                                 .Build();
+  const QuerySpec per_cell =
+      QuerySpecBuilder().GroupBy({key1, key2}).Sum(measure).Count().Build();
   RemoteResult result = client.Query(per_cell);
   if (!result.ok()) {
     std::fprintf(stderr, "query failed: %s\n", result.error_detail.c_str());
     return 1;
   }
   // aggregate_values[k][g] is the k-th aggregate (here: 0=SUM, 1=COUNT)
-  // evaluated on group g, groups in sorted (region, quarter) order.
+  // evaluated on group g, groups in sorted (key1, key2) order.
   const std::vector<int64_t>& sums = result.aggregate_values[0];
   const std::vector<int64_t>& counts = result.aggregate_values[1];
-  std::printf("\nSELECT region, quarter, SUM(units), COUNT(*) "
-              "GROUP BY region, quarter\n-> %zu groups, first rows:\n",
-              sums.size());
+  std::printf("\nSELECT %s, %s, SUM(%s), COUNT(*) GROUP BY %s, %s\n"
+              "-> %zu groups, first rows:\n",
+              key1.c_str(), key2.c_str(), measure.c_str(), key1.c_str(),
+              key2.c_str(), sums.size());
   for (size_t g = 0; g < sums.size() && g < 6; ++g) {
     std::printf("  group %zu: sum=%lld count=%lld\n", g,
                 static_cast<long long>(sums[g]),
@@ -144,11 +160,12 @@ int main() {
   QueryCallOptions deadline_call;
   deadline_call.deadline_seconds = 5.0;
   result = client.Query(QuerySpecBuilder()
-                            .OrderBy("region")
-                            .OrderBy("units", SortOrder::kDescending)
+                            .OrderBy(key1)
+                            .OrderBy(measure, SortOrder::kDescending)
                             .Build(),
                         deadline_call);
-  std::printf("\nORDER BY region, units DESC (5s deadline): %s, %zu oids\n",
+  std::printf("\nORDER BY %s, %s DESC (5s deadline): %s, %zu oids\n",
+              key1.c_str(), measure.c_str(),
               result.ok() ? "ok" : result.error_detail.c_str(),
               result.result_oids.size());
 

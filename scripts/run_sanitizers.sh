@@ -2,8 +2,9 @@
 # Builds the repo under ThreadSanitizer and AddressSanitizer+UBSan and runs
 # the tests covering the morsel-driven parallel executor under each. The
 # race-sensitive code is the fork-join/morsel scheduling in ThreadPool, the
-# parallel whole-array sorts, and the chunk-parallel gather / group scan —
-# all exercised by the test set below.
+# parallel whole-array sorts (merge, counting, and radix's scatter and
+# bucket morsels), and the chunk-parallel gather / group scan — all
+# exercised by the test set below.
 #
 # Usage: scripts/run_sanitizers.sh [build-dir-prefix]
 #   Creates <prefix>-tsan and <prefix>-asan (default prefix: build).
@@ -20,6 +21,7 @@ tests=(
   parallel_executor_test
   common_test
   simd_sort_test
+  radix_sort_test
   sort_kernels_test
   merge_internal_test
   engine_test

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <mutex>
 #include <numeric>
 #include <vector>
@@ -18,6 +19,7 @@
 #include "mcsort/scan/group_scan.h"
 #include "mcsort/scan/lookup.h"
 #include "mcsort/sort/counting_sort.h"
+#include "mcsort/sort/radix_sort.h"
 #include "mcsort/sort/simd_sort.h"
 #include "mcsort/storage/column.h"
 
@@ -306,6 +308,75 @@ void CalibrateCounting(const CalibrationOptions& options,
   cp.row_mem = std::max(cp.row_cache, x[3]);
 }
 
+// --------------------------------------------------------------------------
+// Radix kernel constants
+// --------------------------------------------------------------------------
+
+// Radix timings across widths and group counts pin the four unknowns: the
+// digit-pass counts (2 to 8, one width off the digit grid) separate the
+// per-bucket prefix walks from the per-invocation overhead, the group
+// counts separate both from the per-row pass cost, and the groups past
+// kRadixMsdMinBytes identify the MSD surcharge. Every group exceeds
+// kRadixInsertionMax rows, the only groups the model prices.
+void CalibrateRadix(const CalibrationOptions& options, CostParams* params) {
+  const uint64_t n = options.sort_rows;
+  Rng rng(options.seed + 300);
+  std::vector<uint64_t> random(n);
+  for (uint64_t& v : random) v = rng.Next();
+
+  SortScratch scratch;
+  std::vector<std::vector<double>> a;
+  std::vector<double> b;
+  std::vector<Oid> oids(n);
+  for (int width : {16, 27, 32, 64}) {
+    const PhysicalType type = PhysicalTypeForWidth(width);
+    EncodedColumn master;
+    master.ResetTyped(width, type, n);
+    for (uint64_t i = 0; i < n; ++i) {
+      master.Set(i, random[i] & LowBitsMask(width));
+    }
+    EncodedColumn keys;
+    keys.ResetTyped(width, type, n, /*zero_fill=*/false);
+    const int bank = 8 * SizeOfWidth(width);
+    const size_t key_bytes = static_cast<size_t>(SizeOfWidth(width));
+    const double passes = (width + kRadixDigitBits - 1) / kRadixDigitBits;
+    for (uint64_t groups : {uint64_t{1}, uint64_t{16}, uint64_t{256},
+                            uint64_t{4096}, uint64_t{16384}}) {
+      const uint64_t group_rows = n / groups;
+      if (group_rows <= kRadixInsertionMax) continue;
+      const uint64_t used = group_rows * groups;
+      const double seconds = MeasureSeconds(options.repeats, [&] {
+        std::memcpy(keys.raw_data(), master.raw_data(), used * key_bytes);
+        std::iota(oids.begin(), oids.begin() + static_cast<ptrdiff_t>(used),
+                  0);
+        char* base = static_cast<char*>(keys.raw_data());
+        for (uint64_t g = 0; g < groups; ++g) {
+          const uint64_t begin = g * group_rows;
+          RadixSortPairsBank(bank, base + begin * key_bytes,
+                             oids.data() + begin, group_rows, width, scratch);
+        }
+      });
+      const double group_bytes =
+          static_cast<double>(group_rows * (key_bytes + sizeof(Oid)));
+      const double msd =
+          group_bytes > static_cast<double>(kRadixMsdMinBytes) ? 1.0 : 0.0;
+      a.push_back({static_cast<double>(groups),
+                   static_cast<double>(groups) * passes *
+                       static_cast<double>(size_t{1} << kRadixDigitBits),
+                   static_cast<double>(used) * passes,
+                   static_cast<double>(used) * msd});
+      b.push_back(SecondsToCycles(seconds, *params));
+    }
+  }
+  if (a.size() < 4) return;  // under-determined: keep the defaults
+  const std::vector<double> x = SolveLeastSquares(a, b);
+  RadixSortParams& rp = params->radix;
+  rp.overhead = std::max(10.0, x[0]);
+  rp.per_bucket = std::max(0.05, x[1]);
+  rp.row_pass = std::max(0.5, x[2]);
+  rp.msd_row = std::max(0.1, x[3]);
+}
+
 }  // namespace
 
 CostParams Calibrate(const CalibrationOptions& options) {
@@ -317,6 +388,7 @@ CostParams Calibrate(const CalibrationOptions& options) {
     CalibrateSortBank(options, bank, &params);
   }
   CalibrateCounting(options, &params);
+  CalibrateRadix(options, &params);
   return params;
 }
 
@@ -335,6 +407,9 @@ bool SaveParams(const CostParams& params, const char* path) {
   std::fprintf(f, "counting=%.6g,%.6g,%.6g,%.6g\n", params.counting.overhead,
                params.counting.per_bucket, params.counting.row_cache,
                params.counting.row_mem);
+  std::fprintf(f, "radix=%.6g,%.6g,%.6g,%.6g\n", params.radix.overhead,
+               params.radix.per_bucket, params.radix.row_pass,
+               params.radix.msd_row);
   std::fclose(f);
   return true;
 }
@@ -345,7 +420,9 @@ bool LoadParams(const char* path, CostParams* params) {
   // One bit per key: the four scalars, bank16/32/64, counting. A file is
   // complete when every key appeared; a repeated key does not stand in for
   // a missing one. Lines of the retired OVC kernel (ovc<N>=) match no key
-  // and are skipped, so files written while it existed still load.
+  // and are skipped, so files written while it existed still load. The
+  // radix line is optional: files written before the radix term keep the
+  // caller's radix constants.
   constexpr unsigned kAllKeys = (1u << 8) - 1;
   CostParams loaded = *params;
   unsigned seen = 0;
@@ -386,6 +463,13 @@ bool LoadParams(const char* path, CostParams* params) {
       loaded.counting.row_cache = c;
       loaded.counting.row_mem = d;
       seen |= 1u << 7;
+    } else if (std::strncmp(line, "radix=", 6) == 0) {
+      // A radix line without its four numbers is a bad file.
+      if (std::sscanf(line, "radix=%lf,%lf,%lf,%lf", &a, &b, &c, &d) != 4) {
+        std::fclose(f);
+        return false;
+      }
+      loaded.radix = {a, b, c, d};
     }
   }
   std::fclose(f);

@@ -18,6 +18,9 @@
 //   * Counting constants: width x group-count sweep; the domain walks
 //     identify the per-bucket term, widths past L2 split the cached vs
 //     missing per-row costs.
+//   * Radix constants: width x group-count sweep; the digit-pass counts
+//     and group counts split the per-invocation, per-bucket and per-row
+//     terms, single large groups the MSD surcharge.
 #ifndef MCSORT_COST_CALIBRATION_H_
 #define MCSORT_COST_CALIBRATION_H_
 
@@ -69,7 +72,9 @@ const CostModel& SharedCostModel();
 // Serialization of calibrated constants (simple key=value text).
 // LoadParams returns false, leaving `params` untouched, unless every key
 // SaveParams writes is present and every bank line names bank 16, 32 or
-// 64; unknown lines are skipped.
+// 64; unknown lines are skipped. The `radix=` line is the exception: a
+// file without it loads and keeps the caller's radix constants, while a
+// radix line without four numbers rejects the file.
 bool SaveParams(const CostParams& params, const char* path);
 bool LoadParams(const char* path, CostParams* params);
 

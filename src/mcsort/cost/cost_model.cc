@@ -9,6 +9,8 @@
 #include "mcsort/common/logging.h"
 #include "mcsort/massage/fip.h"
 #include "mcsort/sort/counting_sort.h"
+#include "mcsort/sort/radix_sort.h"
+#include "mcsort/storage/types.h"
 
 namespace mcsort {
 
@@ -115,6 +117,24 @@ double CostModel::SortCyclesCounting(const GroupShape& shape, int width,
          shape.rows_to_sort * (p.row_cache * hit + p.row_mem * (1.0 - hit));
 }
 
+double CostModel::SortCyclesRadix(const GroupShape& shape, int width,
+                                  int bank) const {
+  if (width <= kRadixDigitBits ||
+      shape.avg_group_size <= static_cast<double>(kRadixInsertionMax)) {
+    return std::numeric_limits<double>::infinity();
+  }
+  const RadixSortParams& p = params_.radix;
+  const double passes =
+      static_cast<double>((width + kRadixDigitBits - 1) / kRadixDigitBits);
+  const double buckets = static_cast<double>(size_t{1} << kRadixDigitBits);
+  const double group_bytes =
+      shape.avg_group_size * (bank / 8.0 + static_cast<double>(sizeof(Oid)));
+  const double msd =
+      group_bytes > static_cast<double>(kRadixMsdMinBytes) ? 1.0 : 0.0;
+  return shape.n_sort * (p.overhead + passes * buckets * p.per_bucket) +
+         shape.rows_to_sort * (passes * p.row_pass + msd * p.msd_row);
+}
+
 double CostModel::NextRoundSortCycles(const SortInstanceStats& stats,
                                       int prefix_bits, int bank) const {
   const GroupShape shape =
@@ -165,6 +185,13 @@ CostModel::PlanEstimate CostModel::Estimate(const MassagePlan& plan,
       if (t < re.t_sort) {
         re.t_sort = t;
         re.kernel = SortKernel::kCounting;
+      }
+    }
+    if ((kernels & KernelBit(SortKernel::kRadix)) != 0) {
+      const double t = SortCyclesRadix(entering, round.width, round.bank);
+      if (t < re.t_sort) {
+        re.t_sort = t;
+        re.kernel = SortKernel::kRadix;
       }
     }
     if (j > 0) re.t_lookup = LookupCycles(stats.n, round.width);

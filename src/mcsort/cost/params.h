@@ -35,6 +35,22 @@ struct CountingSortParams {
   double row_mem = 12.0;
 };
 
+// Radix kernel constants (sort/radix_sort.h): P = ceil(width / 8) digit
+// passes of histogram + prefix + stable scatter per invocation, and one
+// extra out-of-cache pass for groups larger than kRadixMsdMinBytes. The
+// defaults are a CalibrateRadix run on a 4-vCPU Xeon (EXPERIMENTS.md
+// "Adaptive sort kernels").
+struct RadixSortParams {
+  // Fixed cycles per invocation.
+  double overhead = 975.0;
+  // Cycles per histogram bucket per digit pass (clear + prefix walk).
+  double per_bucket = 0.05;
+  // Cycles per row per digit pass (histogram update + in-cache scatter).
+  double row_pass = 6.37;
+  // Extra cycles per row of a group that takes the MSD pass.
+  double msd_row = 14.3;
+};
+
 // Coordinator-merge constants (dist/coordinator.h): the loser-tree
 // multiway merge of pre-sorted shard result streams. Costed per element
 // per tree level (ceil(log2 fan_in) comparisons each, most decided by a
@@ -81,6 +97,7 @@ struct CostParams {
   BankSortParams bank64;
 
   CountingSortParams counting;
+  RadixSortParams radix;
   CoordMergeParams coord_merge;
   SpillParams spill;
 

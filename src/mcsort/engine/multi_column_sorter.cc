@@ -141,9 +141,7 @@ void MultiColumnSorter::SortSegments(int bank, SortKernel kernel,
   for (size_t s = 0; s < segments.count(); ++s) {
     const uint32_t len = segments.length(s);
     if (len <= 1) continue;
-    // Merge and counting each have a cooperative parallel sorter; radix
-    // rounds keep whole segments as work units.
-    if (effective != SortKernel::kRadix && len >= huge_len) {
+    if (len >= huge_len) {
       huge.push_back(static_cast<uint32_t>(s));
     } else if (len > kSimdSortInsertionMax) {
       mid.push_back(static_cast<uint32_t>(s));
@@ -159,6 +157,10 @@ void MultiColumnSorter::SortSegments(int bank, SortKernel kernel,
       ParallelCountingSortPairsBank(bank, RawAt(keys, begin), oids + begin,
                                     segments.length(s), key_width, *pool_,
                                     scratch_, ctx);
+    } else if (effective == SortKernel::kRadix) {
+      ParallelRadixSortPairsBank(bank, RawAt(keys, begin), oids + begin,
+                                 segments.length(s), key_width, *pool_,
+                                 scratch_, ctx);
     } else {
       ParallelSortPairsBank(bank, RawAt(keys, begin), oids + begin,
                             segments.length(s), *pool_, scratch_, ctx);

@@ -100,9 +100,8 @@ class MultiColumnSorter {
   // matching `oids` range, with round kernel `kernel` (subject to the
   // resolution described above; the resolved kernel is recorded in
   // `profile`). With a multi-worker pool, segments are bucketed by size:
-  // huge ones run the cooperative parallel sorter of the kernel (merge and
-  // counting have one; radix keeps whole segments), mid-size ones are
-  // claimed dynamically as morsels of segments, and tiny
+  // huge ones run the cooperative parallel sorter of the kernel, mid-size
+  // ones are claimed dynamically as morsels of segments, and tiny
   // (insertion-sort-sized) ones ride in large morsels to amortize
   // dispatch. A stoppable `ctx` stops between segments / morsels / merge
   // chunks; the caller re-checks ctx and discards the round on a stop.

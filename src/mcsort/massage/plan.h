@@ -18,9 +18,9 @@
 namespace mcsort {
 
 // Which single-column sort kernel executes a round. kSimdMerge is the
-// paper's merge-sort with sorting-network kernel [5]; kRadix is the LSD
-// radix sort of the Sec. 7 extension (cost driven by the round *width*
-// rather than the bank); kCounting is the CAFS-style O(N + K) frequency
+// paper's merge-sort with sorting-network kernel [5]; kRadix is the radix
+// sort of the Sec. 7 extension (cost driven by the round *width* rather
+// than the bank); kCounting is the CAFS-style O(N + K) frequency
 // sort for rounds whose domain (and distinct count) is small relative to
 // N. kOvcMerge is retired: its in-round kernel is gone and nothing
 // produces it. It keeps its value and its "ovc" name only because the
@@ -31,15 +31,15 @@ enum class SortKernel { kSimdMerge, kRadix, kOvcMerge, kCounting };
 const char* SortKernelName(SortKernel kernel);
 
 // Bitmask over SortKernel values — the plan search's kernel-choice
-// dimension. kRoutableKernels are the kernels the cost model can estimate
-// and ROGA routes between; kRadix has no cost term and runs only where a
-// round is annotated with it or MCSORT_KERNELS forces it.
+// dimension. kRoutableKernels are the kernels the cost model prices and
+// ROGA routes between, round by round: merge, counting and radix.
 using SortKernelMask = uint32_t;
 constexpr SortKernelMask KernelBit(SortKernel kernel) {
   return SortKernelMask{1} << static_cast<int>(kernel);
 }
 constexpr SortKernelMask kRoutableKernels =
-    KernelBit(SortKernel::kSimdMerge) | KernelBit(SortKernel::kCounting);
+    KernelBit(SortKernel::kSimdMerge) | KernelBit(SortKernel::kCounting) |
+    KernelBit(SortKernel::kRadix);
 
 // Parses a comma-separated kernel list ("merge" or "simd", "counting",
 // "radix"); unknown tokens are ignored, an empty/unparsable string returns

@@ -260,6 +260,7 @@ CostParams NonDefaultParams() {
   params.bank32 = {13.0, 27.5, 28.5, 14.5};
   params.bank64 = {14.0, 58.5, 59.5, 35.5};
   params.counting = {348.5, 0.25, 19.5, 32.5};
+  params.radix = {512.5, 0.75, 5.25, 17.5};
   return params;
 }
 
@@ -281,6 +282,10 @@ void ExpectSameSavedFields(const CostParams& a, const CostParams& b) {
   EXPECT_EQ(a.counting.per_bucket, b.counting.per_bucket);
   EXPECT_EQ(a.counting.row_cache, b.counting.row_cache);
   EXPECT_EQ(a.counting.row_mem, b.counting.row_mem);
+  EXPECT_EQ(a.radix.overhead, b.radix.overhead);
+  EXPECT_EQ(a.radix.per_bucket, b.radix.per_bucket);
+  EXPECT_EQ(a.radix.row_pass, b.radix.row_pass);
+  EXPECT_EQ(a.radix.msd_row, b.radix.msd_row);
 }
 
 // A calibration file written while the in-round OVC kernel existed (the
@@ -343,6 +348,29 @@ TEST(CalibrationFileTest, FileWithOvcLinesStillLoads) {
   expected.bank64 = {10, 58.0273, 58.0273, 35.316};
   expected.counting = {348.26, 0.259894, 19.7308, 32.1733};
   ExpectSameSavedFields(expected, params);
+}
+
+TEST(CalibrationFileTest, FileWithoutRadixLineKeepsCallerRadix) {
+  // The end-to-end benchmark's checked-in constants predate the radix
+  // term: the file loads and the caller's radix constants stay.
+  ParamsFile file("no_radix");
+  file.Write(kFileWithOvcLines);
+  CostParams params = CostParams::Default();
+  params.radix = {1.0, 2.0, 3.0, 4.0};
+  ASSERT_TRUE(LoadParams(file.path(), &params));
+  EXPECT_EQ(params.counting.row_cache, 19.7308);
+  EXPECT_EQ(params.radix.overhead, 1.0);
+  EXPECT_EQ(params.radix.per_bucket, 2.0);
+  EXPECT_EQ(params.radix.row_pass, 3.0);
+  EXPECT_EQ(params.radix.msd_row, 4.0);
+}
+
+TEST(CalibrationFileTest, RadixLineWithoutFourNumbersIsRejected) {
+  ParamsFile file("radix_short");
+  file.Write(std::string(kFileWithOvcLines) + "radix=1,2\n");
+  CostParams params = CostParams::Default();
+  EXPECT_FALSE(LoadParams(file.path(), &params));
+  ExpectSameSavedFields(CostParams::Default(), params);
 }
 
 }  // namespace

@@ -27,6 +27,7 @@
 #include "mcsort/plan/roga.h"
 #include "mcsort/service/signature.h"
 #include "mcsort/sort/counting_sort.h"
+#include "mcsort/sort/radix_sort.h"
 #include "mcsort/sort/simd_sort.h"
 #include "mcsort/storage/statistics.h"
 #include "mcsort/storage/table.h"
@@ -189,6 +190,38 @@ TEST(SortKernelsParallelTest, Bank16) { RunParallelCounting<uint16_t>(13, 4, 4);
 TEST(SortKernelsParallelTest, Bank32) { RunParallelCounting<uint32_t>(20, 4, 5); }
 TEST(SortKernelsParallelTest, Bank64) { RunParallelCounting<uint64_t>(20, 3, 6); }
 
+// The cooperative radix sort; 300000 rows exceed kRadixMsdMinBytes on
+// every bank.
+template <typename K>
+void RunParallelRadix(int width, int threads, uint64_t seed) {
+  ThreadPool pool(threads);
+  std::vector<SortScratch> scratches(static_cast<size_t>(pool.num_threads()));
+  for (Pattern pattern : {Pattern::kRandom, Pattern::kFewDistinct,
+                          Pattern::kAllEqual, Pattern::kReverse,
+                          Pattern::kZipf}) {
+    for (size_t n : {size_t{100}, size_t{5000}, size_t{100000},
+                     size_t{300000}}) {
+      const auto original = MakeKeys<K>(pattern, n, width, seed + n);
+      auto keys = original;
+      std::vector<uint32_t> oids(n);
+      std::iota(oids.begin(), oids.end(), 0);
+      ParallelRadixSortPairsBank(sizeof(K) * 8, keys.data(), oids.data(), n,
+                                 width, pool, scratches, nullptr);
+      CheckEquivalent(original, keys, oids);
+    }
+  }
+}
+
+TEST(SortKernelsParallelTest, RadixBank16) {
+  RunParallelRadix<uint16_t>(13, 4, 7);
+}
+TEST(SortKernelsParallelTest, RadixBank32) {
+  RunParallelRadix<uint32_t>(29, 4, 8);
+}
+TEST(SortKernelsParallelTest, RadixBank64) {
+  RunParallelRadix<uint64_t>(61, 3, 9);
+}
+
 // A pre-cancelled context must stop the parallel kernels without touching
 // every element; the arrays are discarded, so only "returns, no crash,
 // oids stay in range" is checked.
@@ -216,6 +249,14 @@ TEST(SortKernelsParallelTest, CancellationMidRoundUnwinds) {
                                   scratches, &ctx);
     for (uint32_t oid : oids) ASSERT_LT(oid, n);
   }
+  {
+    auto keys = MakeKeys<uint32_t>(Pattern::kRandom, n, 32, 12);
+    std::vector<uint32_t> oids(n);
+    std::iota(oids.begin(), oids.end(), 0);
+    ParallelRadixSortPairsBank(32, keys.data(), oids.data(), n, 32, pool,
+                               scratches, &ctx);
+    for (uint32_t oid : oids) ASSERT_LT(oid, n);
+  }
   // End-to-end: the executor reports the cancellation as a typed status.
   EncodedColumn c1(14, n);
   EncodedColumn c2(14, n);
@@ -232,6 +273,10 @@ TEST(SortKernelsParallelTest, CancellationMidRoundUnwinds) {
   plan.mutable_round(1)->kernel = SortKernel::kCounting;
   const auto result = sorter.Sort(inputs, plan, ctx);
   EXPECT_EQ(result.status.code, StatusCode::kCancelled);
+  MassagePlan radix_plan({{28, 32}});
+  radix_plan.mutable_round(0)->kernel = SortKernel::kRadix;
+  EXPECT_EQ(sorter.Sort(inputs, radix_plan, ctx).status.code,
+            StatusCode::kCancelled);
 }
 
 TEST(KernelMaskTest, ParseKernelMask) {
@@ -492,26 +537,92 @@ TEST(KernelRoutingTest, RogaRoutesLowCardinalityRoundsToCounting) {
   EXPECT_TRUE(routed_counting) << result.plan.ToString();
 }
 
-TEST(KernelRoutingTest, MergeOnlyMaskNeverRoutesElsewhere) {
-  ColumnStats stats_col;
-  {
-    EncodedColumn column(8, 1 << 12);
-    Rng rng(62);
-    for (size_t r = 0; r < column.size(); ++r) {
-      column.Set(r, rng.Next() & 0xFF);
-    }
-    stats_col = ColumnStats::Build(column);
+// Statistics of a `width`-bit column of `rows` uniform random codes (the
+// instance's row count is set separately).
+ColumnStats RandomColumnStats(int width, uint64_t seed,
+                              size_t rows = size_t{1} << 14) {
+  EncodedColumn column(width, rows);
+  Rng rng(seed);
+  for (size_t r = 0; r < column.size(); ++r) {
+    column.Set(r, rng.Next() & LowBitsMask(width));
   }
+  return ColumnStats::Build(column);
+}
+
+TEST(KernelRoutingTest, MergeOnlyMaskNeverRoutesElsewhere) {
+  // An 8-bit instance (counting's regime) and a 32-bit one (radix's).
+  for (int width : {8, 32}) {
+    const ColumnStats stats_col = RandomColumnStats(width, 62);
+    SortInstanceStats stats;
+    stats.n = width == 8 ? 1 << 24 : 1 << 20;
+    stats.columns = {&stats_col};
+    const CostModel model(CostParams::Default());
+    SearchOptions options;
+    options.kernels = KernelBit(SortKernel::kSimdMerge);
+    const SearchResult result = RogaSearch(model, stats, options);
+    for (const Round& round : result.plan.rounds()) {
+      EXPECT_EQ(round.kernel, SortKernel::kSimdMerge)
+          << result.plan.ToString();
+    }
+  }
+}
+
+TEST(KernelRoutingTest, RogaRoutesWideOneSegmentRoundToRadix) {
+  // One 32-bit round over 2^20 rows is one segment past the MSD threshold:
+  // four digit passes beat the merge sort's N log N in the model.
+  const ColumnStats stats_col = RandomColumnStats(32, 63);
   SortInstanceStats stats;
-  stats.n = 1 << 24;
+  stats.n = 1 << 20;
   stats.columns = {&stats_col};
   const CostModel model(CostParams::Default());
+  const CostModel::PlanEstimate estimate =
+      model.Estimate(MassagePlan({{32, 32}}), stats, kRoutableKernels);
+  EXPECT_EQ(estimate.rounds[0].kernel, SortKernel::kRadix);
+
   SearchOptions options;
-  options.kernels = KernelBit(SortKernel::kSimdMerge);
+  options.kernels = kRoutableKernels;
   const SearchResult result = RogaSearch(model, stats, options);
+  ASSERT_TRUE(result.plan.IsValid());
+  bool routed_radix = false;
   for (const Round& round : result.plan.rounds()) {
-    EXPECT_EQ(round.kernel, SortKernel::kSimdMerge);
+    if (round.kernel == SortKernel::kRadix) routed_radix = true;
   }
+  EXPECT_TRUE(routed_radix) << result.plan.ToString();
+}
+
+TEST(KernelRoutingTest, RadixNeverPricedForOneDigitOrTinyGroups) {
+  const CostModel model(CostParams::Default());
+  const SortKernelMask merge_or_radix =
+      KernelBit(SortKernel::kSimdMerge) | KernelBit(SortKernel::kRadix);
+  // A round of <= 8 bits: counting's regime, never radix, at any size.
+  for (int width : {3, 8}) {
+    const ColumnStats stats_col = RandomColumnStats(width, 64);
+    SortInstanceStats stats;
+    stats.n = 1 << 22;
+    stats.columns = {&stats_col};
+    const MassagePlan plan({{width, 16}});
+    EXPECT_EQ(model.Estimate(plan, stats, merge_or_radix).rounds[0].kernel,
+              SortKernel::kSimdMerge)
+        << width;
+    SearchOptions options;
+    options.kernels = kRoutableKernels;
+    const SearchResult result = RogaSearch(model, stats, options);
+    for (const Round& round : result.plan.rounds()) {
+      EXPECT_NE(round.kernel, SortKernel::kRadix) << width;
+    }
+  }
+  // Average groups of <= 64 rows entering a wide round: ~2^16 distinct
+  // prefixes over 2^20 rows leave groups of about 16 rows.
+  const ColumnStats prefix = RandomColumnStats(16, 65, size_t{1} << 18);
+  const ColumnStats suffix = RandomColumnStats(32, 66);
+  SortInstanceStats stats;
+  stats.n = 1 << 20;
+  stats.columns = {&prefix, &suffix};
+  const CostModel::PlanEstimate estimate = model.Estimate(
+      MassagePlan({{16, 16}, {32, 32}}), stats, merge_or_radix);
+  ASSERT_LE(estimate.rounds[1].avg_group_size,
+            static_cast<double>(kRadixInsertionMax));
+  EXPECT_EQ(estimate.rounds[1].kernel, SortKernel::kSimdMerge);
 }
 
 // --- Plan-cache staleness on distinct-distribution drift ------------------
